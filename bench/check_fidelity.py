@@ -4,22 +4,29 @@
 Structural checks always run: the document must carry the probe_interval /
 probes / layers / rns / bfp / photonic / drift sections written by
 obs::fidelity::writeReportFile, the RNS overflow margin must be a sane bit
-count (0..64), and every per-layer entry must be internally consistent
-(probe count matches its error histograms, matching-bits statistics inside
-the encodable 0..64 range).
+count (0..64), the sampled RNS oracle cannot report more mismatches than
+checks, and every per-layer entry must be internally consistent (probe
+count matches its error histograms, matching-bits statistics inside the
+encodable 0..64 range).
 
-Floors are opt-in, mirroring check_regression.py's --counter-min style:
+Floors and ceilings are opt-in, mirroring check_regression.py's
+--counter-min style:
 
   check_fidelity.py report.json \
       [--min-probes N]        total shadow probes recorded
-  [--min-layers N]            distinct instrumented layer labels
-      [--min-rns-checks N]    modularDot/bfpGemm margin observations
+      [--min-layers N]        distinct instrumented layer labels
+      [--min-rns-checks N]    RNS margin observations (modularDot,
+                               modularGemm, and the RNS reference kernel
+                               the sampled oracle replays through)
       [--min-margin BITS]     worst-case RNS overflow margin floor
       [--min-bfp-groups N]    BFP groups encoded
       [--min-drift-alerts N]  fidelity drift alerts raised
       [--max-residue-errors N] photonic shadow-probe mismatch ceiling
                                (mismatches are expected under injected
                                noise, so this is opt-in, not default)
+      [--max-rns-mismatches N] sampled RNS oracle mismatch ceiling: the
+                               integer-dot BFP GEMM against its residue/CRT
+                               round trip, which Eq. (13) makes agree
 
 Exits non-zero when any check fails.
 """
@@ -45,12 +52,19 @@ def check_structure(doc):
 
     rns = doc["rns"]
     for key in ("dot_checks", "overflow_margin_min", "overflow_risk",
-                "reduced_fallbacks"):
+                "reduced_fallbacks", "oracle_checks", "oracle_mismatches"):
         if key not in rns:
             ok = fail(f"missing rns.{key}")
     margin = rns.get("overflow_margin_min")
     if isinstance(margin, (int, float)) and not 0 <= margin <= 64:
         ok = fail(f"rns.overflow_margin_min = {margin} outside 0..64")
+    checks = rns.get("oracle_checks")
+    mismatches = rns.get("oracle_mismatches")
+    if (isinstance(checks, (int, float))
+            and isinstance(mismatches, (int, float))
+            and mismatches > checks):
+        ok = fail(f"rns.oracle_mismatches = {mismatches} exceeds"
+                  f" rns.oracle_checks = {checks}")
 
     for key in ("groups", "clipped_mantissas"):
         if key not in doc["bfp"]:
@@ -96,6 +110,15 @@ def check_floor(label, value, floor):
     return True
 
 
+def check_ceiling(label, value, ceiling):
+    if ceiling is None:
+        return True
+    if value > ceiling:
+        return fail(f"{label} = {value:g} above ceiling {ceiling:g}")
+    print(f"ok    fidelity: {label} = {value:g} (ceiling {ceiling:g})")
+    return True
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("report")
@@ -106,6 +129,7 @@ def main():
     parser.add_argument("--min-bfp-groups", type=float)
     parser.add_argument("--min-drift-alerts", type=float)
     parser.add_argument("--max-residue-errors", type=float)
+    parser.add_argument("--max-rns-mismatches", type=float)
     args = parser.parse_args()
 
     try:
@@ -130,14 +154,12 @@ def main():
                           args.min_bfp_groups)
         ok &= check_floor("drift.alerts", float(doc["drift"]["alerts"]),
                           args.min_drift_alerts)
-        if args.max_residue_errors is not None:
-            errors = float(doc["photonic"]["residue_errors"])
-            if errors > args.max_residue_errors:
-                ok = fail(f"photonic.residue_errors = {errors:g} above"
-                          f" ceiling {args.max_residue_errors:g}")
-            else:
-                print(f"ok    fidelity: photonic.residue_errors ="
-                      f" {errors:g} (ceiling {args.max_residue_errors:g})")
+        ok &= check_ceiling("photonic.residue_errors",
+                            float(doc["photonic"]["residue_errors"]),
+                            args.max_residue_errors)
+        ok &= check_ceiling("rns.oracle_mismatches",
+                            float(doc["rns"]["oracle_mismatches"]),
+                            args.max_rns_mismatches)
     print("fidelity report:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 

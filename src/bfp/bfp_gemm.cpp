@@ -1,5 +1,7 @@
 #include "bfp/bfp_gemm.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.h"
@@ -7,7 +9,6 @@
 #include "common/simd.h"
 #include "obs/fidelity.h"
 #include "rns/conversion.h"
-#include "rns/modular_gemm.h"
 #include "runtime/thread_pool.h"
 
 namespace mirage {
@@ -29,96 +30,14 @@ constexpr int64_t kComputeGrain = 4;
 constexpr int64_t kMinEncodeWork = 16384;
 constexpr int64_t kMinComputeWork = 65536;
 
-/// Output-column tile of the compute loop: keeps the streamed B residue
-/// panel L1/L2-resident for large n. Tiling never reorders the per-element
-/// chunk accumulation, so results are unaffected.
+/// Rows of one integer panel (simd::gemmPanel4I32I64).
+constexpr int kPanelRows = 4;
+/// Output-column tile of the compute loop: keeps the chunk's B panel slice
+/// and the integer sums L1-resident for large n. Tiling never reorders the
+/// per-element chunk accumulation, so results are unaffected.
 constexpr int kColTile = 64;
 
 } // namespace
-
-BfpMatrix
-encodeRows(const std::vector<float> &a, int m_rows, int k_depth,
-           const BfpConfig &cfg, Rng *rng)
-{
-    MIRAGE_ASSERT(a.size() == static_cast<size_t>(m_rows) * k_depth,
-                  "matrix shape mismatch");
-    BfpMatrix out;
-    out.rows = m_rows;
-    out.g = cfg.g;
-    out.chunk_count = static_cast<int>(ceilDiv(k_depth, cfg.g));
-    out.blocks.resize(static_cast<size_t>(m_rows) * out.chunk_count);
-    // Stochastic rounding draws from a per-row substream (split of one base
-    // value drawn from the caller's rng), so encoding stays bit-identical
-    // for every thread count and deterministic rounding never consumes rng.
-    const bool stochastic =
-        rng != nullptr && cfg.rounding == Rounding::Stochastic;
-    const uint64_t base = stochastic ? rng->nextU64() : 0;
-    runtime::parallelFor(
-        m_rows,
-        runtime::serialBelow(m_rows, kEncodeGrain,
-                             static_cast<int64_t>(m_rows) * k_depth,
-                             kMinEncodeWork),
-        [&](int64_t r0, int64_t r1) {
-        for (int64_t i = r0; i < r1; ++i) {
-            std::optional<Rng> row_rng;
-            if (stochastic)
-                row_rng.emplace(Rng::stream(base, static_cast<uint64_t>(i)));
-            Rng *row_rng_p = row_rng ? &*row_rng : nullptr;
-            for (int c = 0; c < out.chunk_count; ++c) {
-                const int start = c * cfg.g;
-                const int len = std::min(cfg.g, k_depth - start);
-                std::span<const float> group(
-                    &a[static_cast<size_t>(i) * k_depth + start],
-                    static_cast<size_t>(len));
-                out.blocks[static_cast<size_t>(i) * out.chunk_count + c] =
-                    encodeBlock(group, cfg, row_rng_p);
-            }
-        }
-    });
-    return out;
-}
-
-BfpMatrix
-encodeCols(const std::vector<float> &b, int k_depth, int n_cols,
-           const BfpConfig &cfg, Rng *rng)
-{
-    MIRAGE_ASSERT(b.size() == static_cast<size_t>(k_depth) * n_cols,
-                  "matrix shape mismatch");
-    BfpMatrix out;
-    out.rows = n_cols;
-    out.g = cfg.g;
-    out.chunk_count = static_cast<int>(ceilDiv(k_depth, cfg.g));
-    out.blocks.resize(static_cast<size_t>(n_cols) * out.chunk_count);
-    const bool stochastic =
-        rng != nullptr && cfg.rounding == Rounding::Stochastic;
-    const uint64_t base = stochastic ? rng->nextU64() : 0;
-    runtime::parallelFor(
-        n_cols,
-        runtime::serialBelow(n_cols, kEncodeGrain,
-                             static_cast<int64_t>(k_depth) * n_cols,
-                             kMinEncodeWork),
-        [&](int64_t j0, int64_t j1) {
-        std::vector<float> group_buf(static_cast<size_t>(cfg.g));
-        for (int64_t j = j0; j < j1; ++j) {
-            std::optional<Rng> col_rng;
-            if (stochastic)
-                col_rng.emplace(Rng::stream(base, static_cast<uint64_t>(j)));
-            Rng *col_rng_p = col_rng ? &*col_rng : nullptr;
-            for (int c = 0; c < out.chunk_count; ++c) {
-                const int start = c * cfg.g;
-                const int len = std::min(cfg.g, k_depth - start);
-                for (int t = 0; t < len; ++t)
-                    group_buf[static_cast<size_t>(t)] =
-                        b[static_cast<size_t>(start + t) * n_cols + j];
-                std::span<const float> group(group_buf.data(),
-                                             static_cast<size_t>(len));
-                out.blocks[static_cast<size_t>(j) * out.chunk_count + c] =
-                    encodeBlock(group, cfg, col_rng_p);
-            }
-        }
-    });
-    return out;
-}
 
 BfpPackedMatrix
 encodeRowsPacked(std::span<const float> a, int m_rows, int k_depth,
@@ -133,6 +52,9 @@ encodeRowsPacked(std::span<const float> a, int m_rows, int k_depth,
     const size_t blocks = static_cast<size_t>(m_rows) * out.chunk_count;
     out.mantissas = ws.zeroed<int32_t>(blocks * cfg.g);
     out.exponents = ws.alloc<int32_t>(blocks);
+    // Stochastic rounding draws from a per-row substream (split of one base
+    // value drawn from the caller's rng), so encoding stays bit-identical
+    // for every thread count and deterministic rounding never consumes rng.
     const bool stochastic =
         rng != nullptr && cfg.rounding == Rounding::Stochastic;
     const uint64_t base = stochastic ? rng->nextU64() : 0;
@@ -221,6 +143,28 @@ encodeColsPacked(std::span<const float> b, int k_depth, int n_cols,
 
 namespace {
 
+void
+requireEq13(const rns::ModuliSet &set, const BfpConfig &cfg)
+{
+    if (!set.canHoldDotProduct(cfg.bm, cfg.g)) {
+        MIRAGE_FATAL("moduli set (log2 M = ", set.log2DynamicRange(),
+                     ") cannot hold BFP dot products of bm=", cfg.bm,
+                     " g=", cfg.g, " (Eq. 13)");
+    }
+}
+
+/**
+ * 2^e built from its IEEE-754 bit pattern; equal to std::ldexp(1.0, e) for
+ * normal exponents e in [-1022, 1023]. Chunk scales stay far inside that:
+ * shared exponents lie in [-148, 128] (frexp of finite floats) and bm >= 1,
+ * so e = ea + eb - 2 bm is in [-326, 254].
+ */
+double
+exactPow2(int e)
+{
+    return std::bit_cast<double>(static_cast<uint64_t>(e + 1023) << 52);
+}
+
 /**
  * True when every chunk dot over this set can accumulate raw 64-bit
  * products without overflow (the modularDot small-path bound).
@@ -238,9 +182,7 @@ rawAccumulationSafe(const rns::ModuliSet &set, int g)
 
 /**
  * Forward-converts a packed mantissa plane to per-modulus residue planes
- * (uint32, layout identical to the mantissa plane). Doing this once per
- * matrix instead of once per (i, j, chunk) triple is the key win: the old
- * path re-reduced every A-row chunk n_cols times.
+ * (uint32, layout identical to the mantissa plane), once per matrix.
  */
 std::span<uint32_t>
 residuePlanes(const BfpPackedMatrix &m, const rns::ModuliSet &set,
@@ -282,17 +224,111 @@ bfpGemm(std::span<const float> a, std::span<const float> b,
     cfg.validate();
     MIRAGE_ASSERT(c.size() == static_cast<size_t>(m_rows) * n_cols,
                   "C shape mismatch");
-    if (codec && !codec->set().canHoldDotProduct(cfg.bm, cfg.g)) {
-        MIRAGE_FATAL("moduli set (log2 M = ",
-                     codec->set().log2DynamicRange(),
-                     ") cannot hold BFP dot products of bm=", cfg.bm,
-                     " g=", cfg.g, " (Eq. 13)");
-    }
+    // Eq. (13) keeps every chunk dot inside the set's signed range, so the
+    // RNS round trip (forward conversion, modular dots, CRT decode) returns
+    // the integer dot exactly; the check is all the codec contributes.
+    if (codec)
+        requireEq13(codec->set(), cfg);
 
-    // Encodings and residue planes live in the caller's arena for the
-    // duration of this GEMM; the rng base draws happen in the same order
-    // (rows, then cols) as the legacy BfpMatrix path, so stochastic
-    // rounding is bit-identical to it.
+    // Encodings live in the caller's arena for the duration of this GEMM;
+    // the rng base draws happen rows first, then cols.
+    Workspace &ws = threadWorkspace();
+    Workspace::Scope scope(ws);
+    const BfpPackedMatrix a_enc =
+        encodeRowsPacked(a, m_rows, k_depth, cfg, ws, rng);
+    const BfpPackedMatrix b_enc =
+        encodeColsPacked(b, k_depth, n_cols, cfg, ws, rng);
+
+    const int chunks = a_enc.chunk_count;
+    const int g = cfg.g;
+    const size_t n = static_cast<size_t>(n_cols);
+
+    // B regrouped K-major, one g x n panel per chunk (the layout the panel
+    // kernel streams), with its exponents pre-offset by the 2 bm mantissa
+    // scale. Zero-padded tail rows contribute nothing to the integer dots.
+    std::span<int32_t> b_panels =
+        ws.alloc<int32_t>(static_cast<size_t>(chunks) * g * n);
+    std::span<int32_t> b_exps = ws.alloc<int32_t>(chunks * n);
+    for (int j = 0; j < n_cols; ++j)
+        for (int ch = 0; ch < chunks; ++ch) {
+            const int32_t *src = b_enc.chunk(j, ch);
+            for (int t = 0; t < g; ++t)
+                b_panels[(static_cast<size_t>(ch) * g + t) * n + j] = src[t];
+            b_exps[ch * n + j] = b_enc.exponent(j, ch) - 2 * cfg.bm;
+        }
+
+    // Per 4-row panel and column tile: one exact int32 x int32 -> int64
+    // panel GEMM per chunk, then each chunk sum scaled by 2^(ea + eb - 2 bm)
+    // and added to its FP32 output in ascending chunk order. |sum| <=
+    // g 2^(2 bm) <= 2^50 and the scale is a normal power of two, so the
+    // double product is exact — the same value std::ldexp gives — and every
+    // output sees the float operations of a per-element loop. Output rows
+    // are independent and rng-free, so the parallel result is bit-identical
+    // to serial execution.
+    const int64_t lda = static_cast<int64_t>(chunks) * g;
+    const int64_t panels = ceilDiv(m_rows, kPanelRows);
+    runtime::parallelFor(
+        panels,
+        runtime::serialBelow(panels, 1,
+                             static_cast<int64_t>(m_rows) * k_depth * n_cols,
+                             kMinComputeWork),
+        [&](int64_t p0, int64_t p1) {
+            Workspace &tws = threadWorkspace();
+            Workspace::Scope tscope(tws);
+            std::span<int64_t> sums = tws.alloc<int64_t>(
+                static_cast<size_t>(kPanelRows) * std::min(kColTile, n_cols));
+            for (int64_t p = p0; p < p1; ++p) {
+                const int i0 = static_cast<int>(p) * kPanelRows;
+                const int rows = std::min(kPanelRows, m_rows - i0);
+                const int32_t *a_panel =
+                    a_enc.mantissas.data() + static_cast<size_t>(i0) * lda;
+                if (rows < kPanelRows) {
+                    // Ragged last panel: zero rows, which the kernel skips.
+                    std::span<int32_t> padded = tws.zeroed<int32_t>(
+                        static_cast<size_t>(kPanelRows * lda));
+                    std::copy_n(a_panel, rows * lda, padded.data());
+                    a_panel = padded.data();
+                }
+                for (int j0 = 0; j0 < n_cols; j0 += kColTile) {
+                    const int jt = std::min(kColTile, n_cols - j0);
+                    for (int r = 0; r < rows; ++r)
+                        std::fill_n(&c[(i0 + r) * n + j0], jt, 0.0f);
+                    for (int ch = 0; ch < chunks; ++ch) {
+                        std::fill_n(sums.data(), kPanelRows * jt, int64_t{0});
+                        simd::gemmPanel4I32I64(
+                            a_panel + static_cast<size_t>(ch) * g, lda,
+                            &b_panels[static_cast<size_t>(ch) * g * n + j0],
+                            n_cols, g, sums.data(), jt);
+                        const int32_t *eb = &b_exps[ch * n + j0];
+                        for (int r = 0; r < rows; ++r) {
+                            const int ea = a_enc.exponent(i0 + r, ch);
+                            const int64_t *row =
+                                &sums[static_cast<size_t>(r) * jt];
+                            float *out = &c[(i0 + r) * n + j0];
+                            for (int j = 0; j < jt; ++j)
+                                out[j] += static_cast<float>(
+                                    static_cast<double>(row[j]) *
+                                    exactPow2(ea + eb[j]));
+                        }
+                    }
+                }
+            }
+        });
+}
+
+void
+bfpGemmRnsReference(std::span<const float> a, std::span<const float> b,
+                    std::span<float> c, int m_rows, int k_depth, int n_cols,
+                    const BfpConfig &cfg, const rns::RnsCodec &codec,
+                    Rng *rng)
+{
+    cfg.validate();
+    MIRAGE_ASSERT(c.size() == static_cast<size_t>(m_rows) * n_cols,
+                  "C shape mismatch");
+    const rns::ModuliSet &set = codec.set();
+    requireEq13(set, cfg);
+
+    // Same encodings, drawn from rng in the same order, as bfpGemm.
     Workspace &ws = threadWorkspace();
     Workspace::Scope scope(ws);
     const BfpPackedMatrix a_enc =
@@ -303,41 +339,35 @@ bfpGemm(std::span<const float> a, std::span<const float> b,
     const int chunks = a_enc.chunk_count;
     const int g = cfg.g;
     const int bm = cfg.bm;
+    const size_t n_moduli = set.count();
 
-    // With a codec, forward-convert both packed planes once up front; every
-    // chunk dot then runs over small cache-resident uint32 residues.
-    const bool raw_safe = codec && rawAccumulationSafe(codec->set(), g);
+    // Small moduli: forward-convert both planes once, then every chunk dot
+    // raw-accumulates g residue products per modulus; one overflow-margin
+    // observation per (GEMM, modulus) covers them all.
+    const bool raw_safe = rawAccumulationSafe(set, g);
     std::span<uint32_t> a_planes, b_planes;
     if (raw_safe) {
-        // Every chunk dot raw-accumulates g products per modulus; one
-        // overflow-margin observation per (GEMM, modulus) covers them all.
-        for (size_t mi = 0; mi < codec->set().count(); ++mi)
-            obs::fidelity::recordRnsMargin(codec->set().modulus(mi), g);
-        a_planes = residuePlanes(a_enc, codec->set(), ws);
-        b_planes = residuePlanes(b_enc, codec->set(), ws);
-    } else if (codec) {
+        for (size_t mi = 0; mi < n_moduli; ++mi)
+            obs::fidelity::recordRnsMargin(set.modulus(mi), g);
+        a_planes = residuePlanes(a_enc, set, ws);
+        b_planes = residuePlanes(b_enc, set, ws);
+    } else {
         obs::fidelity::noteRnsReducedFallback();
     }
     const size_t a_plane_sz = static_cast<size_t>(m_rows) * chunks * g;
     const size_t b_plane_sz = static_cast<size_t>(n_cols) * chunks * g;
 
-    // Output rows are independent and rng-free; the per-element chunk
-    // accumulation order below is unchanged, so the parallel result is
-    // bit-identical to serial execution (and to the legacy block path).
     runtime::parallelFor(
         m_rows,
         runtime::serialBelow(m_rows, kComputeGrain,
                              static_cast<int64_t>(m_rows) * k_depth * n_cols,
                              kMinComputeWork),
         [&](int64_t i0, int64_t i1) {
-        Workspace &tws = threadWorkspace();
-        Workspace::Scope tscope(tws);
-        const size_t n_moduli = codec ? codec->set().count() : 0;
-        std::span<rns::Residue> digits = tws.alloc<rns::Residue>(n_moduli);
-        for (int jt0 = 0; jt0 < n_cols; jt0 += kColTile) {
-            const int jt1 = std::min(jt0 + kColTile, n_cols);
+            Workspace &tws = threadWorkspace();
+            Workspace::Scope tscope(tws);
+            std::span<rns::Residue> digits = tws.alloc<rns::Residue>(n_moduli);
             for (int64_t i = i0; i < i1; ++i) {
-                for (int j = jt0; j < jt1; ++j) {
+                for (int j = 0; j < n_cols; ++j) {
                     float acc = 0.0f; // FP32 partial-output accumulation
                     for (int ch = 0; ch < chunks; ++ch) {
                         const size_t a_off =
@@ -346,26 +376,20 @@ bfpGemm(std::span<const float> a, std::span<const float> b,
                         const size_t b_off =
                             (static_cast<size_t>(j) * chunks + ch) *
                             static_cast<size_t>(g);
-                        int64_t isum;
-                        if (raw_safe) {
-                            for (size_t mi = 0; mi < n_moduli; ++mi) {
-                                const uint32_t *ra =
-                                    &a_planes[mi * a_plane_sz + a_off];
-                                const uint32_t *rb =
-                                    &b_planes[mi * b_plane_sz + b_off];
-                                // Exact u32xu32->u64 dot (residues < 2^21,
-                                // g < 2^22 — rawAccumulationSafe); the simd
-                                // kernel sums the same uint64 terms.
-                                digits[mi] = simd::dotU32U64(ra, rb, g) %
-                                             codec->set().modulus(mi);
-                            }
-                            isum = codec->decode(digits);
-                        } else if (codec) {
-                            // Oversized moduli: fully reduced dot per
-                            // modulus straight off the mantissas.
-                            const rns::ModuliSet &set = codec->set();
-                            for (size_t mi = 0; mi < n_moduli; ++mi) {
-                                const uint64_t mod = set.modulus(mi);
+                        for (size_t mi = 0; mi < n_moduli; ++mi) {
+                            const uint64_t mod = set.modulus(mi);
+                            if (raw_safe) {
+                                // Exact u32xu32->u64 dot: residues < 2^21,
+                                // g < 2^22 (rawAccumulationSafe).
+                                digits[mi] =
+                                    simd::dotU32U64(
+                                        &a_planes[mi * a_plane_sz + a_off],
+                                        &b_planes[mi * b_plane_sz + b_off],
+                                        g) %
+                                    mod;
+                            } else {
+                                // Oversized moduli: fully reduced dot
+                                // straight off the mantissas.
                                 rns::Residue sum = 0;
                                 for (int t = 0; t < g; ++t)
                                     sum = rns::addMod(
@@ -381,24 +405,16 @@ bfpGemm(std::span<const float> a, std::span<const float> b,
                                         mod);
                                 digits[mi] = sum;
                             }
-                            isum = codec->decode(digits);
-                        } else {
-                            // Exact i32xi32->i64 dot; mantissas are <= bm
-                            // bits so the accumulation cannot overflow.
-                            isum = simd::dotI32I64(&a_enc.mantissas[a_off],
-                                                   &b_enc.mantissas[b_off],
-                                                   g);
                         }
                         acc += static_cast<float>(std::ldexp(
-                            static_cast<double>(isum),
+                            static_cast<double>(codec.decode(digits)),
                             a_enc.exponent(static_cast<int>(i), ch) +
                                 b_enc.exponent(j, ch) - 2 * bm));
                     }
                     c[static_cast<size_t>(i) * n_cols + j] = acc;
                 }
             }
-        }
-    });
+        });
 }
 
 void

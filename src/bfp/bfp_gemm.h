@@ -8,9 +8,12 @@
  * weight-row chunk each form one group — integer chunk dot products are
  * exact, and cross-chunk accumulation happens in FP32 (dataflow step 9).
  *
- * Optionally, every integer chunk dot product is routed through an RNS
- * engine over a moduli set; with Eq. (13) satisfied this is numerically
- * transparent, which is exactly Mirage's claim.
+ * Mirage computes each chunk dot product in the RNS domain over a moduli
+ * set. With Eq. (13) satisfied that round trip is numerically transparent
+ * — the CRT decode returns the integer dot — which is exactly Mirage's
+ * claim. bfpGemm therefore computes the integer dot directly, and
+ * bfpGemmRnsReference carries the round trip out as the reference that
+ * tests and the sampled fidelity oracle compare against.
  */
 
 #include <cstdint>
@@ -30,8 +33,9 @@ namespace bfp {
 struct BfpGemmOptions
 {
     BfpConfig config;
-    /// When set, each chunk dot product is computed in the RNS domain over
-    /// this moduli set (forward conversion, modular MACs, CRT reverse).
+    /// When set, the moduli set the chunk dot products are computed over.
+    /// It must satisfy Eq. (13) (fatal otherwise), which makes the results
+    /// bit-identical to the unset case.
     std::optional<rns::ModuliSet> moduli;
     /// RNG used only for stochastic rounding.
     Rng *rng = nullptr;
@@ -42,10 +46,10 @@ struct BfpGemmOptions
  * A's rows and B's columns are BFP-grouped along K in chunks of cfg.g.
  *
  * The span overload writes into caller-provided storage (size m*n) and
- * stages every temporary — packed encodings, per-modulus residue planes,
- * CRT digits — in Workspace arenas, so warm steady-state calls perform no
- * heap allocation. The vector overload is a thin allocating wrapper;
- * results are bit-identical between the two.
+ * stages every temporary — packed encodings, the regrouped B panels,
+ * integer chunk sums — in Workspace arenas, so warm steady-state calls
+ * perform no heap allocation. The vector overload is a thin allocating
+ * wrapper; results are bit-identical between the two.
  */
 void bfpGemm(std::span<const float> a, std::span<const float> b,
              std::span<float> c, int m_rows, int k_depth, int n_cols,
@@ -57,10 +61,14 @@ std::vector<float> bfpGemm(const std::vector<float> &a,
                            const BfpGemmOptions &opts);
 
 /**
- * Core kernel behind both overloads: a non-null `codec` routes every chunk
- * dot product through the RNS domain. Callers that execute many GEMMs over
- * one moduli set pass a cached codec (rns::cachedCodec) so per-call setup
- * allocates nothing.
+ * Core kernel behind both overloads. Every chunk dot product is an exact
+ * int32 x int32 -> int64 sum, computed as one integer panel GEMM per chunk,
+ * scaled by an exact power of two and accumulated in FP32 in ascending
+ * chunk order. A non-null `codec` names the moduli set of the RNS domain:
+ * it is checked against Eq. (13), under which the RNS round trip returns
+ * every chunk dot unchanged, and is not otherwise used. Callers that
+ * execute many GEMMs over one moduli set pass a cached codec
+ * (rns::cachedCodec) so per-call setup allocates nothing.
  */
 void bfpGemm(std::span<const float> a, std::span<const float> b,
              std::span<float> c, int m_rows, int k_depth, int n_cols,
@@ -68,32 +76,28 @@ void bfpGemm(std::span<const float> a, std::span<const float> b,
              Rng *rng = nullptr);
 
 /**
- * Pre-encoded BFP view of a matrix: rows (or columns) cut into K-chunks.
- * Exposed so the photonic functional model can consume the same encoding.
+ * bfpGemm with the RNS round trip carried out: per-modulus residue planes,
+ * modular chunk dots (fully reduced when a modulus is too large for raw
+ * 64-bit accumulation), CRT decode, std::ldexp scaling, FP32 accumulation.
+ * Given the same inputs and rng state it returns exactly what bfpGemm
+ * returns with `codec`, and draws the same values from `rng`. Tests and the
+ * sampled fidelity oracle (nn::FormatBackend) compare the two. Records the
+ * fidelity.rns.* overflow-margin accounting. Slow: one CRT decode per
+ * chunk dot.
  */
-struct BfpMatrix
-{
-    int rows = 0;
-    int chunk_count = 0;
-    int g = 0;
-    /// blocks[row * chunk_count + chunk]
-    std::vector<BfpBlock> blocks;
-};
-
-/** Encodes matrix rows (MxK, row-major) into K-chunk groups. */
-BfpMatrix encodeRows(const std::vector<float> &a, int m_rows, int k_depth,
-                     const BfpConfig &cfg, Rng *rng = nullptr);
-
-/** Encodes matrix columns (KxN, row-major) into K-chunk groups. */
-BfpMatrix encodeCols(const std::vector<float> &b, int k_depth, int n_cols,
-                     const BfpConfig &cfg, Rng *rng = nullptr);
+void bfpGemmRnsReference(std::span<const float> a, std::span<const float> b,
+                         std::span<float> c, int m_rows, int k_depth,
+                         int n_cols, const BfpConfig &cfg,
+                         const rns::RnsCodec &codec, Rng *rng = nullptr);
 
 /**
  * Flat, workspace-backed BFP encoding: mantissas stored [row][chunk][g]
  * with zero-padded tails (padding contributes nothing to integer dots) and
- * one exponent per (row, chunk). This is the hot-path representation — one
- * arena allocation instead of one heap vector per block — and it encodes
- * bit-identically to the BfpBlock form (same per-row Rng substreams).
+ * one exponent per (row, chunk). This is the hot-path representation, one
+ * arena allocation per matrix; each group encodes bit-identically to
+ * encodeBlock on the same values. Stochastic rounding draws one base value
+ * from the caller's rng and a per-row substream from it, so encoding is
+ * the same at every thread count.
  */
 struct BfpPackedMatrix
 {
@@ -118,12 +122,14 @@ struct BfpPackedMatrix
     }
 };
 
-/** Packed encodeRows: scratch comes from (and stays valid inside) `ws`. */
+/** Encodes matrix rows (MxK, row-major) into K-chunk groups; scratch comes
+ *  from (and stays valid inside) `ws`. */
 BfpPackedMatrix encodeRowsPacked(std::span<const float> a, int m_rows,
                                  int k_depth, const BfpConfig &cfg,
                                  Workspace &ws, Rng *rng = nullptr);
 
-/** Packed encodeCols: scratch comes from (and stays valid inside) `ws`. */
+/** Encodes matrix columns (KxN, row-major) into K-chunk groups; scratch
+ *  comes from (and stays valid inside) `ws`. */
 BfpPackedMatrix encodeColsPacked(std::span<const float> b, int k_depth,
                                  int n_cols, const BfpConfig &cfg,
                                  Workspace &ws, Rng *rng = nullptr);

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "bfp/bfp_gemm.h"
 #include "common/logging.h"
 #include "common/workspace.h"
+#include "rns/conversion.h"
 
 namespace mirage {
 namespace nn {
@@ -36,9 +38,17 @@ FormatBackend::gemm(std::span<const float> a, std::span<const float> b,
     call.a_is_grad = a_is_grad;
     call.b_is_grad = b_is_grad;
     call.rng = &rng_;
+    const bool probe = probe_.sample();
+    // A probed Mirage GEMM is replayed through the RNS round trip from a
+    // copy of the pre-call rng: stochastic rounding draws the same values,
+    // and the backend's own stream advances exactly as without probes.
+    std::optional<Rng> replay_rng;
+    if (probe && format_ == numerics::DataFormat::MirageBfpRns &&
+        cfg_.moduli)
+        replay_rng.emplace(rng_);
     numerics::formatGemm(format_, call, cfg_, out);
 
-    if (probe_.sample()) {
+    if (probe) {
         // Shadow execution: re-run this call on the FP32 reference and
         // record the per-layer error. rng is nulled so the shadow never
         // consumes the backend's stream — results stay bit-identical with
@@ -51,6 +61,14 @@ FormatBackend::gemm(std::span<const float> a, std::span<const float> b,
         numerics::gemmFp32(shadow, ref);
         const std::string site = "gemm." + name();
         obs::fidelity::recordProbe(site.c_str(), out, ref);
+        if (replay_rng) {
+            // Compare-only oracle: under Eq. (13) the literal residue/CRT
+            // round trip must reproduce the integer-dot output bit for bit.
+            bfp::bfpGemmRnsReference(a, b, ref, m, k, n, cfg_.mirage_bfp,
+                                     rns::cachedCodec(*cfg_.moduli),
+                                     &*replay_rng);
+            obs::fidelity::recordRnsOracle(out, ref);
+        }
     }
 }
 

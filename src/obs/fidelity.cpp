@@ -1,6 +1,7 @@
 #include "obs/fidelity.h"
 
 #include <algorithm>
+#include <bit>
 #include <cinttypes>
 #include <climits>
 #include <cmath>
@@ -347,6 +348,23 @@ noteRnsReducedFallback()
     fallbacks.add(1);
 }
 
+bool
+recordRnsOracle(std::span<const float> fast, std::span<const float> reference)
+{
+    static Counter &checks = fidCounter("fidelity.rns.oracle_checks");
+    static Counter &mismatches = fidCounter("fidelity.rns.oracle_mismatches");
+
+    const bool match = std::equal(
+        fast.begin(), fast.end(), reference.begin(), reference.end(),
+        [](float x, float y) {
+            return std::bit_cast<uint32_t>(x) == std::bit_cast<uint32_t>(y);
+        });
+    checks.add(1);
+    if (!match)
+        mismatches.add(1);
+    return match;
+}
+
 void
 noteBfpGroup(int shared_exponent, int clipped_mantissas)
 {
@@ -654,7 +672,10 @@ writeSummary(std::ostream &os)
         os << margin_min;
     os << " overflow_risk=" << counterValue("fidelity.rns.overflow_risk")
        << " reduced_fallbacks="
-       << counterValue("fidelity.rns.reduced_fallbacks") << "\n";
+       << counterValue("fidelity.rns.reduced_fallbacks")
+       << " oracle_checks=" << counterValue("fidelity.rns.oracle_checks")
+       << " oracle_mismatches="
+       << counterValue("fidelity.rns.oracle_mismatches") << "\n";
 
     os << "bfp: groups=" << counterValue("fidelity.bfp.groups")
        << " clipped_mantissas="
@@ -720,7 +741,11 @@ writeReport(std::ostream &os)
        << ", \"overflow_risk\": "
        << counterValue("fidelity.rns.overflow_risk")
        << ", \"reduced_fallbacks\": "
-       << counterValue("fidelity.rns.reduced_fallbacks") << "},\n";
+       << counterValue("fidelity.rns.reduced_fallbacks")
+       << ", \"oracle_checks\": "
+       << counterValue("fidelity.rns.oracle_checks")
+       << ", \"oracle_mismatches\": "
+       << counterValue("fidelity.rns.oracle_mismatches") << "},\n";
 
     os << "  \"bfp\": {\"groups\": " << counterValue("fidelity.bfp.groups")
        << ", \"clipped_mantissas\": "

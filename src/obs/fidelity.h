@@ -19,14 +19,15 @@
  *    bench/obs_overhead and tests/test_obs_fidelity.cpp). Probes only
  *    *read* outputs — they never feed numeric state, never consume the
  *    caller's Rng — so every determinism suite is bit-identical with
- *    probes enabled.
+ *    probes enabled. Probed Mirage GEMMs are also replayed through the
+ *    RNS round trip and compared bit for bit (recordRnsOracle).
  *
  *  - **Always-on health counters** (gated only by obs::enabled(), same
- *    contract as every other metric): RNS overflow-margin accounting in
- *    the raw-accumulation fast paths (`fidelity.rns.*`, promoting the
- *    debug-only modularDot overflow DASSERT into a counted observation),
- *    BFP exponent-distribution histograms and mantissa-clip counters
- *    (`fidelity.bfp.*`), and per-unit photonic SNR estimates
+ *    contract as every other metric): RNS overflow-margin accounting
+ *    wherever residues raw-accumulate in 64 bits (`fidelity.rns.*`,
+ *    promoting the debug-only modularDot overflow DASSERT into a counted
+ *    observation), BFP exponent-distribution histograms and mantissa-clip
+ *    counters (`fidelity.bfp.*`), and per-unit photonic SNR estimates
  *    (`fidelity.photonic.*`).
  *
  *  - **Drift detection**: named series (per-layer probe error, per-modulus
@@ -154,6 +155,17 @@ int recordRnsMargin(uint64_t modulus, int64_t accum_len);
  *  use the raw 64-bit fast path and took the fully-reduced route instead
  *  (`fidelity.rns.reduced_fallbacks`). */
 void noteRnsReducedFallback();
+
+/**
+ * Sampled RNS oracle, compare-only: `fast` is an emulated Mirage GEMM's
+ * output from bfp::bfpGemm's integer-dot path and `reference` the same call
+ * replayed through the residue/CRT round trip (bfp::bfpGemmRnsReference).
+ * Bumps `fidelity.rns.oracle_checks` and, when any element differs
+ * bitwise, `fidelity.rns.oracle_mismatches` — which Eq. (13) keeps at 0.
+ * Returns true on a bit-exact match.
+ */
+bool recordRnsOracle(std::span<const float> fast,
+                     std::span<const float> reference);
 
 /** Always-on BFP group-encode note: bumps `fidelity.bfp.groups`, records
  *  the shared exponent into the `fidelity.bfp.exponent_bias128` histogram

@@ -69,9 +69,11 @@ ModuliSet::maxConverterBits() const
 bool
 ModuliSet::canHoldDotProduct(int bm, int g) const
 {
-    MIRAGE_ASSERT(bm >= 1 && g >= 1, "invalid BFP parameters");
-    const double required = 2.0 * (bm + 1) + std::log2(static_cast<double>(g)) - 1.0;
-    return log2DynamicRange() >= required;
+    MIRAGE_ASSERT(bm >= 1 && bm <= 31 && g >= 1, "invalid BFP parameters");
+    // The largest chunk dot is g * 2^(2 bm) (every mantissa at -2^bm) and
+    // must fit [-psi, psi]. Exact integers: the floating-point form admits
+    // an even M at the bound, where psi = M/2 - 1 falls one short.
+    return psi_ >= (static_cast<uint128>(g) << (2 * bm));
 }
 
 bool

@@ -2,8 +2,9 @@
  * @file
  * Tests for BFP encoding and the BFP GEMM: shared-exponent selection,
  * rounding modes, quantization error bounds, and the key transparency
- * property — routing chunk dot products through the RNS domain changes
- * nothing (paper Sec. III / V-A).
+ * property — the integer-dot GEMM equals the literal RNS round trip
+ * (residues, modular dots, CRT decode) bit for bit whenever Eq. (13) holds
+ * (paper Sec. III / V-A).
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "bfp/bfp.h"
 #include "bfp/bfp_gemm.h"
 #include "common/rng.h"
+#include "rns/conversion.h"
 #include "test_support.h"
 
 namespace mirage {
@@ -20,6 +22,30 @@ namespace bfp {
 namespace {
 
 using BfpSeeded = mirage::test::SeededTest;
+
+/**
+ * bfpGemm over `moduli` against bfpGemmRnsReference: the same outputs bit
+ * for bit, and the same values drawn from the rng.
+ */
+void
+expectRnsTransparent(const std::vector<float> &a, const std::vector<float> &b,
+                     int m, int k, int n, const BfpConfig &cfg,
+                     const rns::ModuliSet &moduli)
+{
+    Rng fast_rng(99), ref_rng(99);
+    BfpGemmOptions opts;
+    opts.config = cfg;
+    opts.moduli = moduli;
+    opts.rng = &fast_rng;
+    const std::vector<float> fast = bfpGemm(a, b, m, k, n, opts);
+    std::vector<float> ref(fast.size());
+    bfpGemmRnsReference(a, b, ref, m, k, n, cfg, rns::cachedCodec(moduli),
+                        &ref_rng);
+    for (size_t i = 0; i < fast.size(); ++i)
+        ASSERT_EQ(fast[i], ref[i])
+            << "bm=" << cfg.bm << " g=" << cfg.g << " @" << i;
+    EXPECT_EQ(fast_rng.nextU64(), ref_rng.nextU64());
+}
 
 TEST(BfpBlock, SharedExponentIsMaxExponent)
 {
@@ -145,39 +171,49 @@ TEST_F(BfpSeeded, RnsPathIsTransparent)
 {
     // The paper's core numerical claim: with Eq. (13) satisfied, computing
     // the chunk dot products in the RNS domain is bit-identical to the
-    // plain integer path.
-    const int m = 6, k = 40, n = 5; // k not a multiple of g: tail groups
+    // exact integer dots bfpGemm computes, in every rounding mode.
+    const int m = 6, k = 40, n = 5; // ragged row panel, K and column tails
     const auto a = mirage::test::gaussianVector(rng, m * k);
     const auto b = mirage::test::gaussianVector(rng, k * n);
-
-    BfpGemmOptions plain;
-    plain.config = {4, 16, Rounding::Truncate};
-    BfpGemmOptions with_rns = plain;
-    with_rns.moduli = mirage::test::paperModuli();
-
-    const auto c_plain = bfpGemm(a, b, m, k, n, plain);
-    const auto c_rns = bfpGemm(a, b, m, k, n, with_rns);
-    ASSERT_EQ(c_plain.size(), c_rns.size());
-    for (size_t i = 0; i < c_plain.size(); ++i)
-        EXPECT_EQ(c_plain[i], c_rns[i]) << i; // bit-exact
+    for (Rounding r :
+         {Rounding::Truncate, Rounding::Nearest, Rounding::Stochastic})
+        expectRnsTransparent(a, b, m, k, n, {4, 16, r},
+                             mirage::test::paperModuli());
 }
 
 TEST_F(BfpSeeded, RnsTransparencyAcrossConfigs)
 {
-    struct Case { int bm; int g; int k_set; };
-    for (const Case &c : {Case{3, 16, 4}, Case{4, 16, 5}, Case{5, 64, 6}}) {
-        const int m = 4, k = 2 * c.g + 3, n = 3;
+    struct Case { int bm; int g; rns::ModuliSet set; };
+    const Case cases[] = {
+        {3, 16, rns::ModuliSet::special(4)},
+        {4, 16, rns::ModuliSet::special(5)},
+        {5, 64, rns::ModuliSet::special(6)},
+        // A modulus past the raw 64-bit accumulation bound sends the
+        // reference through its fully reduced fallback.
+        {4, 16, rns::ModuliSet({(uint64_t{1} << 21) + 1})},
+    };
+    for (const Case &c : cases) {
+        const int m = 9, k = 2 * c.g + 3, n = 70; // two column tiles
         const auto a = mirage::test::gaussianVector(rng, m * k, 0, 4);
         const auto b = mirage::test::gaussianVector(rng, k * n, 0, 0.5);
-        BfpGemmOptions plain;
-        plain.config = {c.bm, c.g, Rounding::Truncate};
-        BfpGemmOptions with_rns = plain;
-        with_rns.moduli = rns::ModuliSet::special(c.k_set);
-        const auto c_plain = bfpGemm(a, b, m, k, n, plain);
-        const auto c_rns = bfpGemm(a, b, m, k, n, with_rns);
-        for (size_t i = 0; i < c_plain.size(); ++i)
-            ASSERT_EQ(c_plain[i], c_rns[i]) << "bm=" << c.bm << " i=" << i;
+        expectRnsTransparent(a, b, m, k, n, {c.bm, c.g, Rounding::Truncate},
+                             c.set);
     }
+}
+
+TEST(BfpGemmTest, AllMinimumMantissasAtTheEq13Bound)
+{
+    // -0.99 truncates to mantissa -16 = -2^bm at exponent 0, so the chunk
+    // dot is the largest there is, g * 2^(2 bm) = 4096, and the GEMM
+    // returns 4096 * 2^-8 = 16. {8193} (psi = 4096) holds it bit for bit;
+    // {8192} (psi = 4095) would wrap it to -16 and is rejected
+    // (RejectsModuliTooSmallForConfig).
+    const std::vector<float> a(16, -0.99f), b(16, -0.99f);
+    const BfpConfig cfg{4, 16, Rounding::Truncate};
+    BfpGemmOptions plain;
+    plain.config = cfg;
+    EXPECT_EQ(bfpGemm(a, b, 1, 16, 1, plain)[0], 16.0f);
+    expectRnsTransparent(a, b, 1, 16, 1, cfg, rns::ModuliSet({8193}));
 }
 
 TEST_F(BfpSeeded, QuantizationErrorShrinksWithMantissaBits)
@@ -206,6 +242,12 @@ TEST(BfpGemmDeath, RejectsModuliTooSmallForConfig)
     BfpGemmOptions opts;
     opts.config = {5, 16, Rounding::Truncate}; // needs k >= 6
     opts.moduli = mirage::test::paperModuli();
+    EXPECT_EXIT(bfpGemm(a, b, 1, 16, 1, opts), testing::ExitedWithCode(1),
+                "Eq. 13");
+    // An even M exactly at log2 M = 2 (bm + 1) + log2 g - 1: psi = M/2 - 1
+    // is one short of the all-minimum chunk dot.
+    opts.config = {4, 16, Rounding::Truncate};
+    opts.moduli = rns::ModuliSet({8192});
     EXPECT_EXIT(bfpGemm(a, b, 1, 16, 1, opts), testing::ExitedWithCode(1),
                 "Eq. 13");
 }

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "bfp/bfp_gemm.h"
 #include "common/workspace.h"
 #include "nn/gemm_backend.h"
@@ -116,24 +118,26 @@ TEST_F(GemmSpanTest, PackedEncodeMatchesBlockEncode)
     const std::vector<float> a = randomMatrix(m, k);
     const bfp::BfpConfig cfg{4, 16, bfp::Rounding::Nearest};
 
-    const bfp::BfpMatrix blocks = bfp::encodeRows(a, m, k, cfg);
     Workspace ws;
     Workspace::Scope scope(ws);
     const bfp::BfpPackedMatrix packed =
         bfp::encodeRowsPacked(a, m, k, cfg, ws);
 
-    ASSERT_EQ(blocks.chunk_count, packed.chunk_count);
+    ASSERT_EQ(packed.chunk_count, 3);
     for (int r = 0; r < m; ++r) {
-        for (int c = 0; c < blocks.chunk_count; ++c) {
-            const bfp::BfpBlock &blk =
-                blocks.blocks[static_cast<size_t>(r) * blocks.chunk_count + c];
+        for (int c = 0; c < packed.chunk_count; ++c) {
+            const int start = c * cfg.g;
+            const int len = std::min(cfg.g, k - start);
+            const bfp::BfpBlock blk = bfp::encodeBlock(
+                std::span<const float>(&a[static_cast<size_t>(r) * k + start],
+                                       static_cast<size_t>(len)),
+                cfg);
             EXPECT_EQ(blk.exponent, packed.exponent(r, c));
             const int32_t *pm = packed.chunk(r, c);
             for (int t = 0; t < cfg.g; ++t) {
                 const int32_t expect =
-                    t < static_cast<int>(blk.mantissas.size())
-                        ? blk.mantissas[static_cast<size_t>(t)]
-                        : 0; // packed tail is zero-padded
+                    t < len ? blk.mantissas[static_cast<size_t>(t)]
+                            : 0; // packed tail is zero-padded
                 EXPECT_EQ(pm[t], expect) << r << "," << c << "," << t;
             }
         }

@@ -312,6 +312,56 @@ TEST(FidelityProbes, ShadowProbesNeverPerturbBackendResults)
     EXPECT_GE(counterValue("fidelity.probe.calls.gemm.Mirage"), 1u);
 }
 
+TEST(FidelityProbes, RnsOracleReplaysProbedGemmsBitExactly)
+{
+    // Each probed Mirage GEMM is replayed through the literal RNS round
+    // trip from a copy of the backend's Rng. With stochastic rounding the
+    // replay matches only if it draws what the integer-dot path drew, and
+    // the second call (whose rounding starts from the backend's next draw)
+    // matches the probes-off run only if the oracle consumed nothing.
+    FidelityGuard guard;
+    Rng rng(11);
+    const int m = 9, k = 33, n = 7;
+    std::vector<float> a(static_cast<size_t>(m) * k);
+    std::vector<float> b(static_cast<size_t>(k) * n);
+    for (auto &v : a)
+        v = static_cast<float>(rng.gaussian(0.0, 1.0));
+    for (auto &v : b)
+        v = static_cast<float>(rng.gaussian(0.0, 1.0));
+
+    numerics::FormatGemmConfig cfg;
+    cfg.mirage_bfp.rounding = bfp::Rounding::Stochastic;
+    cfg.moduli = test::paperModuli();
+    const auto twoCalls = [&](uint64_t probe_every) {
+        fid::setProbeInterval(probe_every);
+        nn::FormatBackend backend(numerics::DataFormat::MirageBfpRns, cfg, 42);
+        std::vector<float> out = backend.gemm(a, b, m, k, n, false, false);
+        const std::vector<float> next =
+            backend.gemm(a, b, m, k, n, false, false);
+        out.insert(out.end(), next.begin(), next.end());
+        return out;
+    };
+
+    const std::vector<float> expect = twoCalls(0);
+    // The integer-dot path forms no residues, so it records no RNS checks.
+    EXPECT_EQ(counterValue("fidelity.rns.dot_checks"), 0u);
+    EXPECT_EQ(counterValue("fidelity.rns.oracle_checks"), 0u);
+
+    const std::vector<float> got = twoCalls(1); // probe every call
+    ASSERT_EQ(expect.size(), got.size());
+    for (size_t i = 0; i < expect.size(); ++i)
+        EXPECT_EQ(expect[i], got[i]) << "@" << i;
+    EXPECT_EQ(counterValue("fidelity.rns.oracle_checks"), 2u);
+    EXPECT_EQ(counterValue("fidelity.rns.oracle_mismatches"), 0u);
+    EXPECT_GT(counterValue("fidelity.rns.dot_checks"), 0u);
+
+    // The comparison is bitwise, and a differing replay counts.
+    std::vector<float> off = got;
+    off[0] = std::nextafter(off[0], 1e30f);
+    EXPECT_FALSE(fid::recordRnsOracle(got, off));
+    EXPECT_EQ(counterValue("fidelity.rns.oracle_mismatches"), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Always-on health counters
 

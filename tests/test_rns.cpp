@@ -83,6 +83,11 @@ TEST(ModuliSet, Eq13CapacityMatchesPaper)
     EXPECT_FALSE(ModuliSet::special(5).canHoldDotProduct(5, 16));
     // bm = 5 needs k = 6 up to g = 64 (paper Fig. 5 discussion).
     EXPECT_TRUE(ModuliSet::special(6).canHoldDotProduct(5, 64));
+    // Exact at the bound: the all-minimum chunk dot of bm = 4, g = 16 is
+    // 16 * 2^8 = 4096. {8192} meets log2 M >= 13, but psi = 4095 cannot
+    // hold it; {8193} (psi = 4096) can.
+    EXPECT_FALSE(ModuliSet({8192}).canHoldDotProduct(4, 16));
+    EXPECT_TRUE(ModuliSet({8193}).canHoldDotProduct(4, 16));
 }
 
 TEST(ModuliSet, SignedRange)
