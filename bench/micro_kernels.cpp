@@ -10,6 +10,7 @@
 
 #include "bfp/bfp_gemm.h"
 #include "common/rng.h"
+#include "common/workspace.h"
 #include "nn/gemm_backend.h"
 #include "nn/layers_conv.h"
 #include "nn/tensor.h"
@@ -90,6 +91,55 @@ BM_BfpEncode(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 4096);
 }
 BENCHMARK(BM_BfpEncode);
+
+/**
+ * Packed BFP(4, 16) encoding of one train-shaped operand, r x c row-major:
+ * 9 x 1024 is conv1's im2col matrix and 72 x 256 conv2's at micro-batch 4
+ * (bench/train_soak's small CNN). BM_BfpEncodeRows groups each row along
+ * its c values, the A side of a GEMM; BM_BfpEncodeCols groups each column
+ * along its r values into K-major panels, the B side.
+ */
+template <bool Columns>
+void
+runBfpEncodePacked(benchmark::State &state)
+{
+    const int r = static_cast<int>(state.range(0));
+    const int c = static_cast<int>(state.range(1));
+    Rng rng(11);
+    std::vector<float> values(static_cast<size_t>(r) * c);
+    for (auto &v : values)
+        v = static_cast<float>(rng.gaussian());
+    const bfp::BfpConfig cfg{4, 16, bfp::Rounding::Nearest};
+    Workspace ws;
+    for (auto _ : state) {
+        Workspace::Scope scope(ws);
+        if constexpr (Columns) {
+            const bfp::BfpColumnPanels enc =
+                bfp::encodeColsPacked(values, r, c, cfg, ws);
+            benchmark::DoNotOptimize(enc.mantissas.data());
+        } else {
+            const bfp::BfpPackedMatrix enc =
+                bfp::encodeRowsPacked(values, r, c, cfg, ws);
+            benchmark::DoNotOptimize(enc.mantissas.data());
+        }
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * int64_t{r} * c);
+}
+
+void
+BM_BfpEncodeRows(benchmark::State &state)
+{
+    runBfpEncodePacked<false>(state);
+}
+BENCHMARK(BM_BfpEncodeRows)->Args({9, 1024})->Args({72, 256});
+
+void
+BM_BfpEncodeCols(benchmark::State &state)
+{
+    runBfpEncodePacked<true>(state);
+}
+BENCHMARK(BM_BfpEncodeCols)->Args({9, 1024})->Args({72, 256});
 
 /** n^3 BFP(4, 16) GEMM through the span API, optionally over a moduli set
  *  (under Eq. 13 both run the same integer-dot kernel). */

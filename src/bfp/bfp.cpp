@@ -1,8 +1,13 @@
 #include "bfp/bfp.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/math_util.h"
+#include "common/simd.h"
+#include "common/workspace.h"
 #include "obs/fidelity.h"
 
 namespace mirage {
@@ -44,19 +49,11 @@ BfpBlock::decode(size_t i, int bm) const
 
 namespace {
 
-/** Exponent e such that |v| < 2^e (frexp semantics); 0 for v == 0. */
-int
-valueExponent(float v)
-{
-    if (v == 0.0f || !std::isfinite(v))
-        return 0;
-    int e = 0;
-    std::frexp(v, &e);
-    return e;
-}
+/// Column blocks whose stochastic-rounding streams are live at once.
+constexpr int kStreamCols = 8;
 
-int32_t
-roundMantissa(double scaled, Rounding mode, Rng *rng)
+simd::QuantRound
+quantRound(Rounding mode)
 {
     switch (mode) {
       case Rounding::Truncate:
@@ -64,75 +61,198 @@ roundMantissa(double scaled, Rounding mode, Rng *rng)
         // which rounds toward -inf (floor) — not toward zero. Toward-zero
         // truncation would systematically shrink gradient magnitudes and
         // stall training.
-        return static_cast<int32_t>(std::floor(scaled));
-      case Rounding::Nearest:
-        return static_cast<int32_t>((scaled >= 0.0) ? std::floor(scaled + 0.5)
-                                                    : std::ceil(scaled - 0.5));
-      case Rounding::Stochastic: {
-        MIRAGE_ASSERT(rng != nullptr, "stochastic rounding needs an Rng");
-        const double floor_v = std::floor(scaled);
-        const double frac = scaled - floor_v;
-        return static_cast<int32_t>(floor_v + (rng->uniformReal() < frac ? 1 : 0));
-      }
+        return simd::QuantRound::Floor;
+      case Rounding::Nearest: return simd::QuantRound::HalfAway;
+      case Rounding::Stochastic: return simd::QuantRound::Stochastic;
     }
     MIRAGE_PANIC("unknown rounding mode");
 }
 
+/**
+ * Shared exponent of a group from its largest magnitude bits
+ * (simd::maxAbsBitsF32): the frexp exponent e, 2^(e-1) <= |v| < 2^e, of
+ * the largest |v|, or 0 for an all-zero group. Normal floats carry it in
+ * their biased exponent field; a subnormal is bits * 2^-149, so its
+ * exponent follows from the bit width.
+ */
+int
+groupExponent(uint32_t max_bits)
+{
+    if (max_bits >= simd::kNonFiniteAbsBits)
+        MIRAGE_FATAL("non-finite value in BFP group");
+    if (max_bits == 0)
+        return 0;
+    const int biased = static_cast<int>(max_bits >> 23);
+    return biased != 0 ? biased - 126
+                       : static_cast<int>(std::bit_width(max_bits)) - 149;
+}
+
+/**
+ * value = q * 2^(e - bm), so q = round(value * 2^(bm - e)). Shared
+ * exponents lie in [-148, 128] and bm in [1, 15], so the scale is a normal
+ * double and the product is exact (the value std::ldexp gives).
+ */
+double
+mantissaScale(const BfpConfig &cfg, int exponent)
+{
+    return exactPow2(cfg.bm - exponent);
+}
+
+/** Stochastic-rounding uniforms of one group: u[0], u[stride], ... */
+void
+drawUniforms(Rng *rng, int len, double *u, size_t stride)
+{
+    MIRAGE_ASSERT(rng != nullptr, "stochastic rounding needs an Rng");
+    for (int t = 0; t < len; ++t)
+        u[static_cast<size_t>(t) * stride] = rng->uniformReal();
+}
+
+/**
+ * encodeColumnsInto over columns [j0, j0 + w): one vector pass for the
+ * column maxima of each chunk, one for its mantissas. `streams` holds
+ * column j0 + i's stochastic stream at [i], or is null.
+ */
+void
+encodeColumnBlock(std::span<const float> b, int k_depth, int n_cols, int j0,
+                  int w, const BfpConfig &cfg, std::span<int32_t> mantissas,
+                  std::span<int32_t> exponents, std::optional<Rng> *streams,
+                  obs::fidelity::BfpGroupTally &tally)
+{
+    const simd::QuantRound mode = quantRound(cfg.rounding);
+    const bool stochastic = mode == simd::QuantRound::Stochastic;
+    const size_t n = static_cast<size_t>(n_cols);
+    Workspace &ws = threadWorkspace();
+    Workspace::Scope scope(ws);
+    std::span<uint32_t> max_bits = ws.alloc<uint32_t>(w);
+    std::span<double> scale = ws.alloc<double>(w);
+    std::span<double> u = stochastic
+                              ? ws.alloc<double>(static_cast<size_t>(cfg.g) * w)
+                              : std::span<double>();
+    int64_t clipped = 0;
+    for (int start = 0, c = 0; start < k_depth; start += cfg.g, ++c) {
+        const int len = std::min(cfg.g, k_depth - start);
+        const float *src = &b[start * n + j0];
+        int32_t *dst = &mantissas[start * n + j0];
+        simd::maxAbsBitsColsF32(src, n_cols, len, w, max_bits.data());
+        for (int i = 0; i < w; ++i) {
+            const int e = groupExponent(max_bits[i]);
+            exponents[c * n + j0 + i] = e;
+            tally.note(e);
+            scale[i] = mantissaScale(cfg, e);
+            if (!stochastic)
+                continue;
+            if (max_bits[i] != 0)
+                drawUniforms(streams ? &*streams[i] : nullptr, len, &u[i], w);
+            else
+                for (int t = 0; t < len; ++t)
+                    u[static_cast<size_t>(t) * w + i] = 0.0;
+        }
+        clipped += simd::quantizeF32(src, n_cols, len, w, scale.data(), true,
+                                     mode, u.data(), -(1 << cfg.bm),
+                                     (1 << cfg.bm) - 1, dst, n_cols);
+        for (int t = len; t < cfg.g; ++t)
+            std::fill_n(dst + t * n, w, 0);
+    }
+    tally.addClipped(static_cast<uint64_t>(clipped));
+}
+
 } // namespace
 
-int
-encodeGroupInto(std::span<const float> values, const BfpConfig &cfg,
-                std::span<int32_t> mantissas, Rng *rng)
+void
+encodeRowInto(std::span<const float> values, const BfpConfig &cfg,
+              std::span<int32_t> mantissas, std::span<int32_t> exponents,
+              Rng *rng, obs::fidelity::BfpGroupTally &tally)
 {
     cfg.validate();
-    MIRAGE_ASSERT(values.size() <= static_cast<size_t>(cfg.g),
-                  "group larger than configured size");
+    const int n = static_cast<int>(values.size());
+    const int groups = static_cast<int>(ceilDiv(n, cfg.g));
     MIRAGE_ASSERT(mantissas.size() >= values.size(),
                   "mantissa buffer too small");
-
-    int shared = INT32_MIN;
-    for (float v : values) {
-        if (!std::isfinite(v))
-            MIRAGE_FATAL("non-finite value in BFP group");
-        if (v != 0.0f)
-            shared = std::max(shared, valueExponent(v));
-    }
-    if (shared == INT32_MIN) { // all-zero group
-        for (size_t i = 0; i < values.size(); ++i)
-            mantissas[i] = 0;
-        obs::fidelity::noteBfpGroup(0, 0);
-        return 0;
-    }
-
-    // value = q * 2^(e - bm)  =>  q = value * 2^(bm - e). The mantissa is a
-    // (bm+1)-bit two's-complement integer: [-2^bm, 2^bm - 1].
-    const int32_t q_max = (1 << cfg.bm) - 1;
-    const int32_t q_min = -(1 << cfg.bm);
-    int clipped = 0;
-    for (size_t i = 0; i < values.size(); ++i) {
-        const double scaled = std::ldexp(static_cast<double>(values[i]),
-                                         cfg.bm - shared);
-        int32_t q = roundMantissa(scaled, cfg.rounding, rng);
-        if (q > q_max) {
-            q = q_max;
-            ++clipped;
+    MIRAGE_ASSERT(exponents.size() >= static_cast<size_t>(groups),
+                  "exponent buffer too small");
+    const simd::QuantRound mode = quantRound(cfg.rounding);
+    const bool stochastic = mode == simd::QuantRound::Stochastic;
+    Workspace &ws = threadWorkspace();
+    Workspace::Scope scope(ws);
+    std::span<double> scale = ws.alloc<double>(static_cast<size_t>(groups));
+    std::span<double> u =
+        stochastic ? ws.alloc<double>(values.size()) : std::span<double>();
+    for (int c = 0; c < groups; ++c) {
+        const int start = c * cfg.g;
+        const int len = std::min(cfg.g, n - start);
+        const uint32_t max_bits = simd::maxAbsBitsF32(&values[start], len);
+        const int e = groupExponent(max_bits);
+        exponents[c] = e;
+        tally.note(e);
+        scale[c] = mantissaScale(cfg, e);
+        if (stochastic) {
+            if (max_bits != 0)
+                drawUniforms(rng, len, &u[start], 1);
+            else
+                std::fill_n(&u[start], len, 0.0);
         }
-        if (q < q_min) {
-            q = q_min;
-            ++clipped;
-        }
-        mantissas[i] = q;
     }
-    obs::fidelity::noteBfpGroup(shared, clipped);
-    return shared;
+    // Whole groups quantize as a groups x g block with one scale per row,
+    // a ragged last group as one more row. The (bm+1)-bit two's-complement
+    // range is [-2^bm, 2^bm - 1].
+    const int whole = n / cfg.g;
+    const int tail = n - whole * cfg.g;
+    const int32_t qmin = -(1 << cfg.bm), qmax = (1 << cfg.bm) - 1;
+    int64_t clipped = simd::quantizeF32(
+        values.data(), cfg.g, whole, cfg.g, scale.data(), false, mode,
+        u.data(), qmin, qmax, mantissas.data(), cfg.g);
+    if (tail > 0)
+        clipped += simd::quantizeF32(
+            values.data() + n - tail, tail, 1, tail, scale.data() + whole,
+            false, mode, stochastic ? u.data() + n - tail : nullptr, qmin,
+            qmax, mantissas.data() + n - tail, tail);
+    tally.addClipped(static_cast<uint64_t>(clipped));
+}
+
+void
+encodeColumnsInto(std::span<const float> b, int k_depth, int n_cols, int j0,
+                  int j1, const BfpConfig &cfg, std::span<int32_t> mantissas,
+                  std::span<int32_t> exponents,
+                  std::optional<uint64_t> stream_base,
+                  obs::fidelity::BfpGroupTally &tally)
+{
+    cfg.validate();
+    const size_t chunks = static_cast<size_t>(ceilDiv(k_depth, cfg.g));
+    MIRAGE_ASSERT(b.size() == static_cast<size_t>(k_depth) * n_cols,
+                  "matrix shape mismatch");
+    MIRAGE_ASSERT(0 <= j0 && j0 <= j1 && j1 <= n_cols, "column range");
+    MIRAGE_ASSERT(mantissas.size() >= chunks * cfg.g * n_cols &&
+                      exponents.size() >= chunks * n_cols,
+                  "panel buffers too small");
+    if (cfg.rounding != Rounding::Stochastic || !stream_base) {
+        encodeColumnBlock(b, k_depth, n_cols, j0, j1 - j0, cfg, mantissas,
+                          exponents, nullptr, tally);
+        return;
+    }
+    // Each column draws from its own stream, chunk after chunk, so the
+    // streams of a block stay live across its chunks.
+    for (int jb = j0; jb < j1; jb += kStreamCols) {
+        const int w = std::min(kStreamCols, j1 - jb);
+        std::optional<Rng> streams[kStreamCols];
+        for (int i = 0; i < w; ++i)
+            streams[i].emplace(
+                Rng::stream(*stream_base, static_cast<uint64_t>(jb + i)));
+        encodeColumnBlock(b, k_depth, n_cols, jb, w, cfg, mantissas,
+                          exponents, streams, tally);
+    }
 }
 
 BfpBlock
 encodeBlock(std::span<const float> values, const BfpConfig &cfg, Rng *rng)
 {
+    MIRAGE_ASSERT(values.size() <= static_cast<size_t>(cfg.g),
+                  "group larger than configured size");
     BfpBlock block;
     block.mantissas.resize(values.size(), 0);
-    block.exponent = encodeGroupInto(values, cfg, block.mantissas, rng);
+    obs::fidelity::BfpGroupTally tally;
+    encodeRowInto(values, cfg, block.mantissas,
+                  std::span<int32_t>(&block.exponent, 1), rng, tally);
+    tally.flush();
     return block;
 }
 

@@ -13,12 +13,18 @@
  */
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "common/rng.h"
 
 namespace mirage {
+
+namespace obs::fidelity {
+class BfpGroupTally;
+} // namespace obs::fidelity
+
 namespace bfp {
 
 /** Mantissa rounding mode applied during BFP encoding. */
@@ -48,7 +54,8 @@ struct BfpConfig
 
 /**
  * One encoded group: value_i ~= mantissa_i * 2^(exponent - bm).
- * Mantissas are held reduced to [-(2^bm - 1), 2^bm - 1].
+ * Mantissas are (bm+1)-bit two's-complement integers in [-2^bm, 2^bm - 1];
+ * values that round past 2^bm - 1 are clipped.
  */
 struct BfpBlock
 {
@@ -71,12 +78,35 @@ BfpBlock encodeBlock(std::span<const float> values, const BfpConfig &cfg,
                      Rng *rng = nullptr);
 
 /**
- * Allocation-free core of encodeBlock: writes values.size() mantissas into
- * `mantissas` (first values.size() elements; the caller owns any padding)
- * and returns the shared exponent. Bit-identical to encodeBlock.
+ * The group encoder behind encodeBlock and the packed GEMM encoders, over
+ * one row: `values` splits into consecutive groups of cfg.g along the row
+ * (the last may be shorter). Writes values.size() mantissas (the caller
+ * owns any padding) and one shared exponent per group, and notes each
+ * group in `tally`. A group's shared exponent is the frexp exponent of its
+ * largest magnitude, 0 for an all-zero group; a non-finite value is fatal.
+ * Stochastic rounding draws one uniform per element of every non-zero
+ * group from `rng`, in order. Scratch comes from threadWorkspace().
  */
-int encodeGroupInto(std::span<const float> values, const BfpConfig &cfg,
-                    std::span<int32_t> mantissas, Rng *rng = nullptr);
+void encodeRowInto(std::span<const float> values, const BfpConfig &cfg,
+                   std::span<int32_t> mantissas, std::span<int32_t> exponents,
+                   Rng *rng, obs::fidelity::BfpGroupTally &tally);
+
+/**
+ * Column twin of encodeRowInto over columns [j0, j1) of the k_depth x
+ * n_cols row-major matrix `b`, each grouped along K in chunks of cfg.g.
+ * Writes the K-major layout: mantissa (k, j) at mantissas[k * n_cols + j],
+ * with rows k_depth..chunks*g-1 of the last chunk zero-filled, and the
+ * exponent of (chunk c, column j) at exponents[c * n_cols + j]. Stochastic
+ * rounding needs `stream_base` and draws column j's uniforms from
+ * Rng::stream(*stream_base, j), chunk by chunk. Scratch comes from
+ * threadWorkspace().
+ */
+void encodeColumnsInto(std::span<const float> b, int k_depth, int n_cols,
+                       int j0, int j1, const BfpConfig &cfg,
+                       std::span<int32_t> mantissas,
+                       std::span<int32_t> exponents,
+                       std::optional<uint64_t> stream_base,
+                       obs::fidelity::BfpGroupTally &tally);
 
 /** Decodes a whole block back to floats (the "fake quantization" view). */
 std::vector<float> decodeBlock(const BfpBlock &block, const BfpConfig &cfg);

@@ -46,10 +46,10 @@ struct BfpGemmOptions
  * A's rows and B's columns are BFP-grouped along K in chunks of cfg.g.
  *
  * The span overload writes into caller-provided storage (size m*n) and
- * stages every temporary — packed encodings, the regrouped B panels,
- * integer chunk sums — in Workspace arenas, so warm steady-state calls
- * perform no heap allocation. The vector overload is a thin allocating
- * wrapper; results are bit-identical between the two.
+ * stages every temporary — B's K-major panels, one encoded 4-row panel of
+ * A per worker, integer chunk sums — in Workspace arenas, so warm
+ * steady-state calls perform no heap allocation. The vector overload is a
+ * thin allocating wrapper; results are bit-identical between the two.
  */
 void bfpGemm(std::span<const float> a, std::span<const float> b,
              std::span<float> c, int m_rows, int k_depth, int n_cols,
@@ -61,13 +61,16 @@ std::vector<float> bfpGemm(const std::vector<float> &a,
                            const BfpGemmOptions &opts);
 
 /**
- * Core kernel behind both overloads. Every chunk dot product is an exact
- * int32 x int32 -> int64 sum, computed as one integer panel GEMM per chunk,
- * scaled by an exact power of two and accumulated in FP32 in ascending
- * chunk order. A non-null `codec` names the moduli set of the RNS domain:
- * it is checked against Eq. (13), under which the RNS round trip returns
- * every chunk dot unchanged, and is not otherwise used. Callers that
- * execute many GEMMs over one moduli set pass a cached codec
+ * Core kernel behind both overloads. B is encoded once with
+ * encodeColsPacked; A is encoded one 4-row panel at a time inside the
+ * compute loop, by the same row encoder as encodeRowsPacked, into a panel
+ * buffer that stays in the worker's arena. Every chunk dot product is an
+ * exact int32 x int32 -> int64 sum, computed as one integer panel GEMM per
+ * chunk, scaled by an exact power of two and accumulated in FP32 in
+ * ascending chunk order. A non-null `codec` names the moduli set of the
+ * RNS domain: it is checked against Eq. (13), under which the RNS round
+ * trip returns every chunk dot unchanged, and is not otherwise used.
+ * Callers that execute many GEMMs over one moduli set pass a cached codec
  * (rns::cachedCodec) so per-call setup allocates nothing.
  */
 void bfpGemm(std::span<const float> a, std::span<const float> b,
@@ -90,14 +93,18 @@ void bfpGemmRnsReference(std::span<const float> a, std::span<const float> b,
                          int n_cols, const BfpConfig &cfg,
                          const rns::RnsCodec &codec, Rng *rng = nullptr);
 
+// Packed encodings: one arena allocation per operand, in the layout the
+// integer panel kernel reads. Each group encodes bit-identically to
+// encodeBlock on the same values. Stochastic rounding draws one base value
+// per operand from the caller's rng — A's before B's in a GEMM — and gives
+// each row (A) or column (B) the substream Rng::stream(base, index), so
+// encoding is the same at every thread count and deterministic rounding
+// never consumes rng.
+
 /**
- * Flat, workspace-backed BFP encoding: mantissas stored [row][chunk][g]
- * with zero-padded tails (padding contributes nothing to integer dots) and
- * one exponent per (row, chunk). This is the hot-path representation, one
- * arena allocation per matrix; each group encodes bit-identically to
- * encodeBlock on the same values. Stochastic rounding draws one base value
- * from the caller's rng and a per-row substream from it, so encoding is
- * the same at every thread count.
+ * Rows of A encoded along K: mantissas stored [row][chunk][g] with
+ * zero-padded tails (padding contributes nothing to integer dots) and one
+ * exponent per (row, chunk).
  */
 struct BfpPackedMatrix
 {
@@ -122,15 +129,46 @@ struct BfpPackedMatrix
     }
 };
 
+/**
+ * Columns of B encoded along K in the K-major layout the integer panel
+ * kernel streams: mantissas stored [chunk][g][col], so chunk c is a g x
+ * cols panel whose row t holds element k = c * g + t of every column, and
+ * rows past K in the last chunk are zero. Exponents are stored
+ * [chunk][col].
+ */
+struct BfpColumnPanels
+{
+    int cols = 0;
+    int chunk_count = 0;
+    int g = 0;
+    std::span<int32_t> mantissas; ///< chunk_count * g * cols, zero-padded.
+    std::span<int32_t> exponents; ///< chunk_count * cols.
+
+    /** The g x cols mantissa panel of chunk c (row stride cols). */
+    const int32_t *
+    panel(int c) const
+    {
+        return &mantissas[static_cast<size_t>(c) * g * cols];
+    }
+
+    /** Shared exponent of (col, chunk). */
+    int
+    exponent(int col, int c) const
+    {
+        return exponents[static_cast<size_t>(c) * cols + col];
+    }
+};
+
 /** Encodes matrix rows (MxK, row-major) into K-chunk groups; scratch comes
  *  from (and stays valid inside) `ws`. */
 BfpPackedMatrix encodeRowsPacked(std::span<const float> a, int m_rows,
                                  int k_depth, const BfpConfig &cfg,
                                  Workspace &ws, Rng *rng = nullptr);
 
-/** Encodes matrix columns (KxN, row-major) into K-chunk groups; scratch
- *  comes from (and stays valid inside) `ws`. */
-BfpPackedMatrix encodeColsPacked(std::span<const float> b, int k_depth,
+/** Encodes matrix columns (KxN, row-major) straight into K-major panels,
+ *  eight columns per vector step; scratch comes from (and stays valid
+ *  inside) `ws`. */
+BfpColumnPanels encodeColsPacked(std::span<const float> b, int k_depth,
                                  int n_cols, const BfpConfig &cfg,
                                  Workspace &ws, Rng *rng = nullptr);
 

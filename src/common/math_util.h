@@ -6,6 +6,7 @@
  * Small integer math helpers used across the tiling, RNS, and BFP code.
  */
 
+#include <bit>
 #include <cstdint>
 
 #include "common/logging.h"
@@ -54,6 +55,16 @@ inline bool
 isPowerOfTwo(uint64_t v)
 {
     return v != 0 && (v & (v - 1)) == 0;
+}
+
+/**
+ * 2^e built from its IEEE-754 bit pattern; equal to std::ldexp(1.0, e) for
+ * normal exponents e in [-1022, 1023].
+ */
+inline double
+exactPow2(int e)
+{
+    return std::bit_cast<double>(static_cast<uint64_t>(e + 1023) << 52);
 }
 
 /** Greatest common divisor. */

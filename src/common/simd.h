@@ -16,6 +16,12 @@
  *   compiled with target("avx2") only, so the compiler cannot fuse), and
  *   each output element's accumulation chain is untouched: lanes map to
  *   distinct output columns, never to partial sums of one element.
+ * - The BFP encode kernels compare float bit patterns (exact) and quantize
+ *   with the scalar reference's double operations per element: an exact
+ *   float->double widening, one multiply by a power of two (exact), and
+ *   the same roundings per mode. Half-away-from-zero takes ceil(s - 0.5)
+ *   for s < 0 as -floor(|s| + 0.5), the same value, since rounding a sum
+ *   is sign-symmetric.
  *
  * Bit-identity is what lets the vectorized kernels keep the determinism
  * contract of runtime::parallelFor (thread-count-invariant results) *and*
@@ -30,6 +36,8 @@
  * for benchmarking the vector speedup and for debugging.
  */
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -45,6 +53,18 @@
 namespace mirage {
 namespace simd {
 
+/** Mantissa rounding of the BFP quantizer (quantizeF32), applied to the
+ *  scaled value s; the modes of bfp::Rounding. */
+enum class QuantRound
+{
+    Floor,      ///< floor(s): two's-complement LSB truncation.
+    HalfAway,   ///< s >= 0 ? floor(s + 0.5) : ceil(s - 0.5).
+    Stochastic, ///< floor(s) + (u < s - floor(s)), u a caller uniform.
+};
+
+/// Sign-cleared float bit patterns at or above this are Inf or NaN.
+constexpr uint32_t kNonFiniteAbsBits = 0x7f800000u;
+
 // ---------------------------------------------------------------------------
 // Scalar reference implementations (always available; used as the fallback
 // and as the golden reference in tests).
@@ -59,18 +79,6 @@ dotI32I64(const int32_t *a, const int32_t *b, int n)
     int64_t sum = 0;
     for (int i = 0; i < n; ++i)
         sum += static_cast<int64_t>(a[i]) * b[i];
-    return sum;
-}
-
-/** Exact unsigned dot: sum of uint32*uint32 products in uint64. The caller
- *  guarantees the raw accumulation cannot overflow (values < 2^21 and
- *  n < 2^22 in the BFP/RNS path). */
-inline uint64_t
-dotU32U64(const uint32_t *a, const uint32_t *b, int n)
-{
-    uint64_t sum = 0;
-    for (int i = 0; i < n; ++i)
-        sum += static_cast<uint64_t>(a[i]) * b[i];
     return sum;
 }
 
@@ -217,6 +225,101 @@ gemmPanel4U64Lo32(const uint64_t *a, int64_t lda, const uint64_t *b,
     }
 }
 
+/** |x| as its bit pattern. Finite magnitudes order like these integers,
+ *  and the largest one has the group's largest frexp exponent. */
+inline uint32_t
+absBitsF32(float x)
+{
+    uint32_t bits = 0;
+    std::memcpy(&bits, &x, sizeof bits);
+    return bits & 0x7fffffffu;
+}
+
+/** Largest absBitsF32 over x[0, n): 0 for an all-zero (or empty) group,
+ *  >= kNonFiniteAbsBits when any value is Inf or NaN. */
+inline uint32_t
+maxAbsBitsF32(const float *x, int n)
+{
+    uint32_t m = 0;
+    for (int i = 0; i < n; ++i)
+        m = std::max(m, absBitsF32(x[i]));
+    return m;
+}
+
+/** Column twin of maxAbsBitsF32 over a rows x w block:
+ *  m[j] = max over t in [0, rows) of absBitsF32(x[t * ldx + j]). */
+inline void
+maxAbsBitsColsF32(const float *x, int64_t ldx, int rows, int w, uint32_t *m)
+{
+    std::fill_n(m, w, 0u);
+    for (int t = 0; t < rows; ++t) {
+        const float *row = x + static_cast<size_t>(t) * ldx;
+        for (int j = 0; j < w; ++j)
+            m[j] = std::max(m[j], absBitsF32(row[j]));
+    }
+}
+
+/** One element of quantizeF32; bumps `clipped` when it clamps. */
+inline int32_t
+quantizeOne(float x, double scale, QuantRound mode, double u, int32_t qmin,
+            int32_t qmax, int64_t &clipped)
+{
+    const double s = static_cast<double>(x) * scale;
+    double r = 0.0;
+    switch (mode) {
+      case QuantRound::Floor:
+        r = std::floor(s);
+        break;
+      case QuantRound::HalfAway:
+        r = s >= 0.0 ? std::floor(s + 0.5) : std::ceil(s - 0.5);
+        break;
+      case QuantRound::Stochastic: {
+        const double f = std::floor(s);
+        r = f + (u < s - f ? 1 : 0);
+        break;
+      }
+    }
+    const int32_t q = static_cast<int32_t>(r);
+    if (q > qmax) {
+        ++clipped;
+        return qmax;
+    }
+    if (q < qmin) {
+        ++clipped;
+        return qmin;
+    }
+    return q;
+}
+
+/**
+ * BFP mantissa quantizer over a rows x w block:
+ * q[t * ldq + j] = clamp(round(double(x[t * ldx + j]) * s), qmin, qmax)
+ * with s = scale[j] when `column_scales`, else scale[t] (one scale per
+ * row). Rounding follows `mode`, with u[t * w + j] as the stochastic
+ * uniform (u is read only for QuantRound::Stochastic). Scales are powers
+ * of two, so the product is exact; rounded values must fit in int32.
+ * Returns the number of clamped elements.
+ */
+inline int64_t
+quantizeF32(const float *x, int64_t ldx, int rows, int w, const double *scale,
+            bool column_scales, QuantRound mode, const double *u,
+            int32_t qmin, int32_t qmax, int32_t *q, int64_t ldq)
+{
+    int64_t clipped = 0;
+    for (int t = 0; t < rows; ++t) {
+        const float *xr = x + static_cast<size_t>(t) * ldx;
+        int32_t *qr = q + static_cast<size_t>(t) * ldq;
+        for (int j = 0; j < w; ++j) {
+            const double uj = mode == QuantRound::Stochastic
+                                  ? u[static_cast<size_t>(t) * w + j]
+                                  : 0.0;
+            qr[j] = quantizeOne(xr[j], column_scales ? scale[j] : scale[t],
+                                mode, uj, qmin, qmax, clipped);
+        }
+    }
+    return clipped;
+}
+
 } // namespace scalar
 
 // ---------------------------------------------------------------------------
@@ -249,26 +352,6 @@ dotI32I64(const int32_t *a, const int32_t *b, int n)
     int64_t sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
     for (; i < n; ++i)
         sum += static_cast<int64_t>(a[i]) * b[i];
-    return sum;
-}
-
-__attribute__((target("avx2"))) inline uint64_t
-dotU32U64(const uint32_t *a, const uint32_t *b, int n)
-{
-    __m256i acc = _mm256_setzero_si256();
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i av = _mm256_cvtepu32_epi64(
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(a + i)));
-        const __m256i bv = _mm256_cvtepu32_epi64(
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(b + i)));
-        acc = _mm256_add_epi64(acc, _mm256_mul_epu32(av, bv));
-    }
-    alignas(32) uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), acc);
-    uint64_t sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-    for (; i < n; ++i)
-        sum += static_cast<uint64_t>(a[i]) * b[i];
     return sum;
 }
 
@@ -687,6 +770,160 @@ gemmPanel4U64Lo32(const uint64_t *a, int64_t lda, const uint64_t *b,
     }
 }
 
+__attribute__((target("avx2"))) inline __m256i
+absBits8(const float *x)
+{
+    return _mm256_and_si256(_mm256_castps_si256(_mm256_loadu_ps(x)),
+                            _mm256_set1_epi32(0x7fffffff));
+}
+
+__attribute__((target("avx2"))) inline uint32_t
+maxAbsBitsF32(const float *x, int n)
+{
+    __m256i acc = _mm256_setzero_si256();
+    int i = 0;
+    for (; i + 8 <= n; i += 8)
+        acc = _mm256_max_epu32(acc, absBits8(x + i));
+    __m128i m = _mm_max_epu32(_mm256_castsi256_si128(acc),
+                              _mm256_extracti128_si256(acc, 1));
+    m = _mm_max_epu32(m, _mm_shuffle_epi32(m, _MM_SHUFFLE(1, 0, 3, 2)));
+    m = _mm_max_epu32(m, _mm_shuffle_epi32(m, _MM_SHUFFLE(2, 3, 0, 1)));
+    uint32_t best = static_cast<uint32_t>(_mm_cvtsi128_si32(m));
+    for (; i < n; ++i)
+        best = std::max(best, scalar::absBitsF32(x[i]));
+    return best;
+}
+
+/** Eight columns per vector step, the column maxima held in a register
+ *  across the rows. */
+__attribute__((target("avx2"))) inline void
+maxAbsBitsColsF32(const float *x, int64_t ldx, int rows, int w, uint32_t *m)
+{
+    int j = 0;
+    for (; j + 8 <= w; j += 8) {
+        __m256i acc = _mm256_setzero_si256();
+        for (int t = 0; t < rows; ++t)
+            acc = _mm256_max_epu32(
+                acc, absBits8(x + static_cast<size_t>(t) * ldx + j));
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(m + j), acc);
+    }
+    if (j < w)
+        scalar::maxAbsBitsColsF32(x + j, ldx, rows, w - j, m + j);
+}
+
+/** Eight int32 lanes from two four-lane halves. */
+__attribute__((target("avx2"))) inline __m256i
+join128(__m128i lo, __m128i hi)
+{
+    return _mm256_inserti128_si256(_mm256_castsi128_si256(lo), hi, 1);
+}
+
+/** round(s) per mode for the scaled halves s0, s1 of the eight values x,
+ *  as int32; `u` (eight uniforms) is read only when stochastic. */
+template <QuantRound R>
+__attribute__((target("avx2"))) inline __m256i
+roundScaled8(__m256 x, __m256d s0, __m256d s1, const double *u)
+{
+    if constexpr (R == QuantRound::Floor) {
+        return join128(_mm256_cvtpd_epi32(_mm256_floor_pd(s0)),
+                       _mm256_cvtpd_epi32(_mm256_floor_pd(s1)));
+    } else if constexpr (R == QuantRound::HalfAway) {
+        // floor(|s| + 0.5) by truncation (the sum is non-negative), then
+        // the sign of s, which is x's (scales are positive): for s < 0,
+        // ceil(s - 0.5) equals -floor(-s + 0.5) because rounding the sum
+        // is sign-symmetric, and -0 is the integer 0.
+        const __m256d sign = _mm256_set1_pd(-0.0);
+        const __m256d half = _mm256_set1_pd(0.5);
+        const __m256i mag = join128(
+            _mm256_cvttpd_epi32(
+                _mm256_add_pd(_mm256_andnot_pd(sign, s0), half)),
+            _mm256_cvttpd_epi32(
+                _mm256_add_pd(_mm256_andnot_pd(sign, s1), half)));
+        const __m256i neg = _mm256_srai_epi32(_mm256_castps_si256(x), 31);
+        return _mm256_sub_epi32(_mm256_xor_si256(mag, neg), neg);
+    } else {
+        const __m256d one = _mm256_set1_pd(1.0);
+        const __m256d f0 = _mm256_floor_pd(s0);
+        const __m256d f1 = _mm256_floor_pd(s1);
+        const __m256d hit0 = _mm256_cmp_pd(_mm256_loadu_pd(u),
+                                           _mm256_sub_pd(s0, f0), _CMP_LT_OQ);
+        const __m256d hit1 = _mm256_cmp_pd(_mm256_loadu_pd(u + 4),
+                                           _mm256_sub_pd(s1, f1), _CMP_LT_OQ);
+        return join128(
+            _mm256_cvtpd_epi32(_mm256_add_pd(f0, _mm256_and_pd(hit0, one))),
+            _mm256_cvtpd_epi32(_mm256_add_pd(f1, _mm256_and_pd(hit1, one))));
+    }
+}
+
+/** quantizeF32 for one rounding mode: eight columns per vector step,
+ *  widened to two four-lane double halves and narrowed back to int32. */
+template <QuantRound R>
+__attribute__((target("avx2"))) inline int64_t
+quantizeRoundF32(const float *x, int64_t ldx, int rows, int w,
+                 const double *scale, bool column_scales, const double *u,
+                 int32_t qmin, int32_t qmax, int32_t *q, int64_t ldq)
+{
+    const __m256i lo = _mm256_set1_epi32(qmin);
+    const __m256i hi = _mm256_set1_epi32(qmax);
+    __m256i neg_clipped = _mm256_setzero_si256(); // -1 per clamp, per lane
+    int64_t clipped = 0;
+    for (int t = 0; t < rows; ++t) {
+        const float *xr = x + static_cast<size_t>(t) * ldx;
+        int32_t *qr = q + static_cast<size_t>(t) * ldq;
+        const double *ur =
+            R == QuantRound::Stochastic ? u + static_cast<size_t>(t) * w
+                                        : nullptr;
+        const __m256d row_scale =
+            _mm256_set1_pd(column_scales ? 0.0 : scale[t]);
+        int j = 0;
+        for (; j + 8 <= w; j += 8) {
+            const __m256 xv = _mm256_loadu_ps(xr + j);
+            const __m256d s0 = _mm256_mul_pd(
+                _mm256_cvtps_pd(_mm256_castps256_ps128(xv)),
+                column_scales ? _mm256_loadu_pd(scale + j) : row_scale);
+            const __m256d s1 = _mm256_mul_pd(
+                _mm256_cvtps_pd(_mm256_extractf128_ps(xv, 1)),
+                column_scales ? _mm256_loadu_pd(scale + j + 4) : row_scale);
+            const __m256i r = roundScaled8<R>(
+                xv, s0, s1, R == QuantRound::Stochastic ? ur + j : nullptr);
+            neg_clipped = _mm256_add_epi32(
+                neg_clipped, _mm256_or_si256(_mm256_cmpgt_epi32(r, hi),
+                                             _mm256_cmpgt_epi32(lo, r)));
+            _mm256_storeu_si256(reinterpret_cast<__m256i *>(qr + j),
+                                _mm256_min_epi32(_mm256_max_epi32(r, lo), hi));
+        }
+        for (; j < w; ++j)
+            qr[j] = scalar::quantizeOne(
+                xr[j], column_scales ? scale[j] : scale[t], R,
+                R == QuantRound::Stochastic ? ur[j] : 0.0, qmin, qmax,
+                clipped);
+    }
+    alignas(32) int32_t lanes[8];
+    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), neg_clipped);
+    for (int32_t lane : lanes)
+        clipped -= lane;
+    return clipped;
+}
+
+__attribute__((target("avx2"))) inline int64_t
+quantizeF32(const float *x, int64_t ldx, int rows, int w, const double *scale,
+            bool column_scales, QuantRound mode, const double *u,
+            int32_t qmin, int32_t qmax, int32_t *q, int64_t ldq)
+{
+    switch (mode) {
+      case QuantRound::Floor:
+        return quantizeRoundF32<QuantRound::Floor>(
+            x, ldx, rows, w, scale, column_scales, u, qmin, qmax, q, ldq);
+      case QuantRound::HalfAway:
+        return quantizeRoundF32<QuantRound::HalfAway>(
+            x, ldx, rows, w, scale, column_scales, u, qmin, qmax, q, ldq);
+      case QuantRound::Stochastic:
+        return quantizeRoundF32<QuantRound::Stochastic>(
+            x, ldx, rows, w, scale, column_scales, u, qmin, qmax, q, ldq);
+    }
+    return 0;
+}
+
 } // namespace avx2
 
 #endif // MIRAGE_SIMD_AVX2
@@ -713,23 +950,6 @@ dotI32I64(const int32_t *a, const int32_t *b, int n)
     int64_t sum = vgetq_lane_s64(acc, 0) + vgetq_lane_s64(acc, 1);
     for (; i < n; ++i)
         sum += static_cast<int64_t>(a[i]) * b[i];
-    return sum;
-}
-
-inline uint64_t
-dotU32U64(const uint32_t *a, const uint32_t *b, int n)
-{
-    uint64x2_t acc = vdupq_n_u64(0);
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const uint32x4_t av = vld1q_u32(a + i);
-        const uint32x4_t bv = vld1q_u32(b + i);
-        acc = vaddq_u64(acc, vmull_u32(vget_low_u32(av), vget_low_u32(bv)));
-        acc = vaddq_u64(acc, vmull_high_u32(av, bv));
-    }
-    uint64_t sum = vgetq_lane_u64(acc, 0) + vgetq_lane_u64(acc, 1);
-    for (; i < n; ++i)
-        sum += static_cast<uint64_t>(a[i]) * b[i];
     return sum;
 }
 
@@ -918,6 +1138,27 @@ gemmPanel4U64Lo32(const uint64_t *a, int64_t lda, const uint64_t *b,
     scalar::gemmPanel4U64Lo32(a, lda, b, ldb, kd, acc, jt);
 }
 
+inline uint32_t
+maxAbsBitsF32(const float *x, int n)
+{
+    return scalar::maxAbsBitsF32(x, n);
+}
+
+inline void
+maxAbsBitsColsF32(const float *x, int64_t ldx, int rows, int w, uint32_t *m)
+{
+    scalar::maxAbsBitsColsF32(x, ldx, rows, w, m);
+}
+
+inline int64_t
+quantizeF32(const float *x, int64_t ldx, int rows, int w, const double *scale,
+            bool column_scales, QuantRound mode, const double *u,
+            int32_t qmin, int32_t qmax, int32_t *q, int64_t ldq)
+{
+    return scalar::quantizeF32(x, ldx, rows, w, scale, column_scales, mode, u,
+                               qmin, qmax, q, ldq);
+}
+
 } // namespace neon
 
 #endif // MIRAGE_SIMD_NEON
@@ -995,12 +1236,6 @@ dotI32I64(const int32_t *a, const int32_t *b, int n)
 }
 
 inline uint64_t
-dotU32U64(const uint32_t *a, const uint32_t *b, int n)
-{
-    MIRAGE_SIMD_DISPATCH(dotU32U64, a, b, n);
-}
-
-inline uint64_t
 dotU64Lo32(const uint64_t *a, const uint64_t *b, int n)
 {
     MIRAGE_SIMD_DISPATCH(dotU64Lo32, a, b, n);
@@ -1065,6 +1300,27 @@ gemmPanel4U64Lo32(const uint64_t *a, int64_t lda, const uint64_t *b,
                   int64_t ldb, int kd, uint64_t *acc, int jt)
 {
     MIRAGE_SIMD_DISPATCH(gemmPanel4U64Lo32, a, lda, b, ldb, kd, acc, jt);
+}
+
+inline uint32_t
+maxAbsBitsF32(const float *x, int n)
+{
+    MIRAGE_SIMD_DISPATCH(maxAbsBitsF32, x, n);
+}
+
+inline void
+maxAbsBitsColsF32(const float *x, int64_t ldx, int rows, int w, uint32_t *m)
+{
+    MIRAGE_SIMD_DISPATCH(maxAbsBitsColsF32, x, ldx, rows, w, m);
+}
+
+inline int64_t
+quantizeF32(const float *x, int64_t ldx, int rows, int w, const double *scale,
+            bool column_scales, QuantRound mode, const double *u,
+            int32_t qmin, int32_t qmax, int32_t *q, int64_t ldq)
+{
+    MIRAGE_SIMD_DISPATCH(quantizeF32, x, ldx, rows, w, scale, column_scales,
+                         mode, u, qmin, qmax, q, ldq);
 }
 
 #undef MIRAGE_SIMD_DISPATCH

@@ -109,7 +109,7 @@ PhotonicBackend::gemm(std::span<const float> a, std::span<const float> b,
     Workspace::Scope scope(ws);
     const bfp::BfpPackedMatrix a_enc =
         bfp::encodeRowsPacked(a, m, k, bfp_cfg_, ws);
-    const bfp::BfpPackedMatrix b_enc =
+    const bfp::BfpColumnPanels b_enc =
         bfp::encodeColsPacked(b, k, n, bfp_cfg_, ws);
     const int chunks = a_enc.chunk_count;
     const int rows = array_.rows();
@@ -137,9 +137,10 @@ PhotonicBackend::gemm(std::span<const float> a, std::span<const float> b,
             array_.programTile(t, tr, g);
 
             for (int j = 0; j < n; ++j) {
-                const int32_t *src = b_enc.chunk(j, ch);
+                // Column j of the chunk's K-major panel.
+                const int32_t *src = b_enc.panel(ch) + j;
                 for (int c = 0; c < g; ++c)
-                    x[static_cast<size_t>(c)] = src[c];
+                    x[static_cast<size_t>(c)] = src[static_cast<size_t>(c) * n];
                 array_.mvm(x, rng, y);
                 for (int r = 0; r < tr; ++r) {
                     // Partial outputs accumulate in FP32 after reverse

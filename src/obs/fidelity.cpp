@@ -365,20 +365,56 @@ recordRnsOracle(std::span<const float> fast, std::span<const float> reference)
     return match;
 }
 
+namespace {
+
+struct BfpMetrics
+{
+    Counter &groups = fidCounter("fidelity.bfp.groups");
+    Counter &clipped = fidCounter("fidelity.bfp.clipped_mantissas");
+    Histogram &exponents = fidHistogram("fidelity.bfp.exponent_bias128");
+};
+
+BfpMetrics &
+bfpMetrics()
+{
+    static BfpMetrics m;
+    return m;
+}
+
+} // namespace
+
 void
 noteBfpGroup(int shared_exponent, int clipped_mantissas)
 {
-    static Counter &groups = fidCounter("fidelity.bfp.groups");
-    static Counter &clipped = fidCounter("fidelity.bfp.clipped_mantissas");
-    static Histogram &exponents = fidHistogram("fidelity.bfp.exponent_bias128");
-
-    groups.add(1);
+    BfpMetrics &m = bfpMetrics();
+    m.groups.add(1);
     // Bias by +128 so the full float exponent range stays a valid
     // (non-negative) histogram value; clamp pathological inputs.
     const int biased = std::clamp(shared_exponent + 128, 0, 4096);
-    exponents.record(static_cast<uint64_t>(biased));
+    m.exponents.record(static_cast<uint64_t>(biased));
     if (clipped_mantissas > 0)
-        clipped.add(static_cast<uint64_t>(clipped_mantissas));
+        m.clipped.add(static_cast<uint64_t>(clipped_mantissas));
+}
+
+void
+BfpGroupTally::flush()
+{
+    BfpMetrics &m = bfpMetrics();
+    uint64_t groups = 0;
+    for (int biased = lo_; biased <= hi_; ++biased) {
+        if (exponents_[biased] == 0)
+            continue;
+        m.exponents.record(static_cast<uint64_t>(biased), exponents_[biased]);
+        groups += exponents_[biased];
+        exponents_[biased] = 0;
+    }
+    if (groups > 0)
+        m.groups.add(groups);
+    if (clipped_ > 0)
+        m.clipped.add(clipped_);
+    clipped_ = 0;
+    lo_ = kMaxBiased + 1;
+    hi_ = -1;
 }
 
 void

@@ -43,6 +43,7 @@
  * serve_soak via --fidelity-report and validated by bench/check_fidelity.py).
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -172,6 +173,36 @@ bool recordRnsOracle(std::span<const float> fast,
  *  (offset by +128 so negative exponents stay recordable), and counts
  *  clamped mantissas in `fidelity.bfp.clipped_mantissas`. */
 void noteBfpGroup(int shared_exponent, int clipped_mantissas);
+
+/**
+ * Batched noteBfpGroup for the BFP encoders: note() each group locally,
+ * then flush() once per encode block. The fidelity.bfp.* totals equal one
+ * noteBfpGroup call per noted group. Shared exponents are those of finite
+ * floats, in [-148, 128].
+ */
+class BfpGroupTally
+{
+  public:
+    void
+    note(int shared_exponent)
+    {
+        const int biased = std::clamp(shared_exponent + 128, 0, kMaxBiased);
+        ++exponents_[biased];
+        lo_ = std::min(lo_, biased);
+        hi_ = std::max(hi_, biased);
+    }
+
+    void addClipped(uint64_t clipped_mantissas) { clipped_ += clipped_mantissas; }
+
+    /** Adds the tally to the fidelity.bfp.* metrics and clears it. */
+    void flush();
+
+  private:
+    static constexpr int kMaxBiased = 256;
+    int lo_ = kMaxBiased + 1, hi_ = -1; ///< noted biased-exponent range
+    uint64_t clipped_ = 0;
+    uint32_t exponents_[kMaxBiased + 1] = {}; ///< groups per biased exponent
+};
 
 /** Always-on per-unit photonic SNR note: records `fidelity.photonic.snr_db`
  *  and maintains the running-minimum gauge `fidelity.photonic.snr_db_min`

@@ -173,14 +173,17 @@ class Histogram
     Histogram(const Histogram &) = delete;
     Histogram &operator=(const Histogram &) = delete;
 
+    /** Records `count` samples of `value`: the same bucket counts and sum
+     *  as `count` single records, in one update. */
     void
-    record(uint64_t value)
+    record(uint64_t value, uint64_t count = 1)
     {
         if (!enabled())
             return;
         Shard &s = shards_[detail::threadShard()];
-        s.buckets[bucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
-        s.sum.fetch_add(value, std::memory_order_relaxed);
+        s.buckets[bucketIndex(value)].fetch_add(count,
+                                                std::memory_order_relaxed);
+        s.sum.fetch_add(value * count, std::memory_order_relaxed);
     }
 
     /** Records a duration/energy given in seconds/joules as integer nanos. */

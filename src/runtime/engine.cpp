@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -523,9 +524,13 @@ struct RuntimeEngine::Impl
 
             // shard s runs on active tile s % tile_count; one parallelFor
             // block per tile keeps each accelerator single-threaded while
-            // tiles overlap. Each leg records its own failure slot, so a
-            // TileFailure aborts that tile's shards without touching the
-            // other legs.
+            // tiles overlap: with several legs, each runs its GEMMs inline
+            // (SerialScope). Row loops forked from every leg wake helpers
+            // that the host may start late or on a busy vCPU, and each
+            // join waits for them, so throughput followed host load. A
+            // lone leg keeps the whole pool. Each leg records its own
+            // failure slot, so a TileFailure aborts that tile's shards
+            // without touching the other legs.
             std::vector<double> tile_busy(active.size(), 0.0);
             std::vector<char> leg_failed(active.size(), 0);
             try {
@@ -533,6 +538,9 @@ struct RuntimeEngine::Impl
                     tile_count, 1, [&](int64_t t0, int64_t t1) {
                         for (int64_t t = t0; t < t1; ++t) {
                             MIRAGE_SPAN("engine.tile");
+                            std::optional<SerialScope> inline_leg;
+                            if (tile_count > 1)
+                                inline_leg.emplace();
                             const Clock::time_point tile_start = Clock::now();
                             bool ran = false;
                             try {

@@ -14,8 +14,10 @@
  * which is the engine's backpressure signal) and complete through
  * std::future. A dispatcher thread fuses compatible GEMM jobs (equal K and
  * N) into one batch, shards the batch's rows across the tiles, and runs
- * the shards on the global ThreadPool; inside each shard the per-format
- * GEMM hot paths parallelize further over rows/moduli. Non-GEMM jobs run
+ * the shards on the global ThreadPool, one pool block per tile. With one
+ * active tile the per-format GEMM hot paths parallelize further over
+ * rows/moduli; with several, each tile runs its shards inline
+ * (runtime::SerialScope), so the tiles are the parallelism. Non-GEMM jobs run
  * FIFO on the dispatcher thread itself (they are lightweight analytic
  * estimates or caller-supplied tasks; a long task therefore delays jobs
  * queued behind it).

@@ -360,7 +360,8 @@ ThreadPool::runLoop(detail::ForLoop &loop)
 bool
 ThreadPool::runsSerially(int64_t blocks) const
 {
-    return size() <= 1 || blocks == 1 || inForkedChild(owner_pid_);
+    return size() <= 1 || blocks == 1 || detail::serial_scope_depth > 0 ||
+           inForkedChild(owner_pid_);
 }
 
 ThreadPool &

@@ -74,6 +74,9 @@ struct ForLoop
     bool runBlocks();
 };
 
+/// Live SerialScope count on this thread.
+inline thread_local int serial_scope_depth = 0;
+
 } // namespace detail
 
 /**
@@ -171,8 +174,9 @@ class ThreadPool
 
     /**
      * True when a loop of `blocks` blocks would take the serial fast path
-     * (single worker, single block, a fork()ed child, or a pool that has
-     * been shut down). The serial path is inline and allocation-free.
+     * (single worker, single block, a fork()ed child, a pool that has been
+     * shut down, or a SerialScope alive on the calling thread). The serial
+     * path is inline and allocation-free.
      */
     bool runsSerially(int64_t blocks) const;
 
@@ -286,6 +290,22 @@ parallelFor(int64_t n, int64_t grain, Body &&body)
     }
     pool.parallelFor(n, grain, std::forward<Body>(body));
 }
+
+/**
+ * While alive, every parallelFor called on this thread runs inline on the
+ * serial fast path, over the same block decomposition, so results are
+ * unchanged. Meant for a thread that is one of several concurrent legs of
+ * an outer loop, whose inner forks would only compete with the other legs
+ * for the same workers. Scopes nest.
+ */
+class SerialScope
+{
+  public:
+    SerialScope() { ++detail::serial_scope_depth; }
+    ~SerialScope() { --detail::serial_scope_depth; }
+    SerialScope(const SerialScope &) = delete;
+    SerialScope &operator=(const SerialScope &) = delete;
+};
 
 /**
  * Returns `grain` when `work` (an approximate per-call operation count) is

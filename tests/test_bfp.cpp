@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <limits>
 
 #include "bfp/bfp.h"
 #include "bfp/bfp_gemm.h"
@@ -54,6 +56,19 @@ TEST(BfpBlock, SharedExponentIsMaxExponent)
     const BfpBlock block = encodeBlock(vals, cfg);
     // max |v| = 3.0 -> exponent 2 (3.0 < 2^2).
     EXPECT_EQ(block.exponent, 2);
+
+    // The frexp exponent of the largest magnitude across the float range,
+    // subnormals included (those carry it in their bit width).
+    const float denorm_min = std::numeric_limits<float>::denorm_min();
+    for (float largest :
+         {denorm_min, 3 * denorm_min, FLT_MIN / 3, FLT_MIN - denorm_min,
+          FLT_MIN, -1.0f, 0.999f, 1e30f, -FLT_MAX, FLT_MAX}) {
+        const std::vector<float> group = {largest / 4, -0.0f, largest,
+                                          denorm_min};
+        int expect = 0;
+        std::frexp(largest, &expect);
+        EXPECT_EQ(encodeBlock(group, cfg).exponent, expect) << largest;
+    }
 }
 
 TEST(BfpBlock, AllZeroGroup)
@@ -250,6 +265,24 @@ TEST(BfpGemmDeath, RejectsModuliTooSmallForConfig)
     opts.moduli = rns::ModuliSet({8192});
     EXPECT_EXIT(bfpGemm(a, b, 1, 16, 1, opts), testing::ExitedWithCode(1),
                 "Eq. 13");
+}
+
+TEST(BfpGemmDeath, NonFiniteOperandIsFatal)
+{
+    BfpGemmOptions opts;
+    opts.config = {4, 16, Rounding::Nearest};
+    for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()}) {
+        for (const bool in_b : {false, true}) {
+            std::vector<float> a(5 * 20, 0.5f), b(20 * 9, -0.25f);
+            (in_b ? b[20 * 9 - 1] : a[37]) = bad;
+            EXPECT_EXIT(bfpGemm(a, b, 5, 20, 9, opts),
+                        testing::ExitedWithCode(1),
+                        "non-finite value in BFP group")
+                << bad << (in_b ? " in B" : " in A");
+        }
+    }
 }
 
 TEST(BfpConfigTest, DotProductBits)

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
+#include <string>
 
 #include "bfp/bfp_gemm.h"
 #include "common/workspace.h"
@@ -114,32 +116,108 @@ TEST_F(GemmSpanTest, BfpGemmSpanMatchesVector)
 
 TEST_F(GemmSpanTest, PackedEncodeMatchesBlockEncode)
 {
-    const int m = 5, k = 37; // ragged tail chunk
-    const std::vector<float> a = randomMatrix(m, k);
-    const bfp::BfpConfig cfg{4, 16, bfp::Rounding::Nearest};
+    // Both packed encoders against per-group encodeBlock: every rounding
+    // mode, group sizes that leave a ragged last chunk, a column count off
+    // the 8-lane vector step, and groups of edge values. Stochastic
+    // rounding follows the documented substreams: one base drawn from the
+    // caller's rng per operand, Rng::stream(base, row or column) per line.
+    const int m = 5, k = 37, n = 21;
+    // Group contents by kind: normals, all +-0, subnormals only (the
+    // biased-exponent-0 exponent branch), near FLT_MAX, and values that
+    // round to 2^bm (Nearest clips them to 2^bm - 1) or to -2^bm (the
+    // bottom of the mantissa range).
+    const auto value = [&](int kind, int t) -> float {
+        switch (kind % 6) {
+          case 0: return static_cast<float>(rng.gaussian());
+          case 1: return t % 2 ? -0.0f : 0.0f;
+          case 2: return static_cast<float>(rng.gaussian(0.0, 1e-41));
+          case 3:
+            return t % 3 == 0 ? (t % 2 ? -FLT_MAX : FLT_MAX)
+                              : static_cast<float>(rng.gaussian(0.0, 1e37));
+          case 4: {
+            const float edges[] = {0.999f, -0.999f, 0.97f, -0.97f};
+            return t < 4 ? edges[t]
+                         : static_cast<float>(rng.uniformReal(-0.9, 0.9));
+          }
+          default:
+            return rng.uniformReal() < 0.5
+                       ? static_cast<float>(rng.gaussian(0.0, 1e-40))
+                       : static_cast<float>(rng.gaussian());
+        }
+    };
 
-    Workspace ws;
-    Workspace::Scope scope(ws);
-    const bfp::BfpPackedMatrix packed =
-        bfp::encodeRowsPacked(a, m, k, cfg, ws);
+    for (const bfp::Rounding mode :
+         {bfp::Rounding::Truncate, bfp::Rounding::Nearest,
+          bfp::Rounding::Stochastic}) {
+        for (const int g : {16, 13, 32}) {
+            const bfp::BfpConfig cfg{4, g, mode};
+            const int chunks = (k + g - 1) / g;
+            std::vector<float> a(static_cast<size_t>(m) * k);
+            std::vector<float> b(static_cast<size_t>(k) * n);
+            for (int r = 0; r < m; ++r)
+                for (int kk = 0; kk < k; ++kk)
+                    a[static_cast<size_t>(r) * k + kk] =
+                        value(r + kk / g, kk % g);
+            for (int kk = 0; kk < k; ++kk)
+                for (int j = 0; j < n; ++j)
+                    b[static_cast<size_t>(kk) * n + j] =
+                        value(j + 2 * (kk / g), kk % g);
 
-    ASSERT_EQ(packed.chunk_count, 3);
-    for (int r = 0; r < m; ++r) {
-        for (int c = 0; c < packed.chunk_count; ++c) {
-            const int start = c * cfg.g;
-            const int len = std::min(cfg.g, k - start);
-            const bfp::BfpBlock blk = bfp::encodeBlock(
-                std::span<const float>(&a[static_cast<size_t>(r) * k + start],
-                                       static_cast<size_t>(len)),
-                cfg);
-            EXPECT_EQ(blk.exponent, packed.exponent(r, c));
-            const int32_t *pm = packed.chunk(r, c);
-            for (int t = 0; t < cfg.g; ++t) {
-                const int32_t expect =
-                    t < len ? blk.mantissas[static_cast<size_t>(t)]
-                            : 0; // packed tail is zero-padded
-                EXPECT_EQ(pm[t], expect) << r << "," << c << "," << t;
+            Rng rows_rng(5), cols_rng(6);
+            Workspace ws;
+            Workspace::Scope scope(ws);
+            const bfp::BfpPackedMatrix rows =
+                bfp::encodeRowsPacked(a, m, k, cfg, ws, &rows_rng);
+            const bfp::BfpColumnPanels cols =
+                bfp::encodeColsPacked(b, k, n, cfg, ws, &cols_rng);
+            ASSERT_EQ(rows.chunk_count, chunks);
+            ASSERT_EQ(cols.chunk_count, chunks);
+
+            const bool stochastic = mode == bfp::Rounding::Stochastic;
+            Rng rows_ref(5), cols_ref(6);
+            const uint64_t row_base = stochastic ? rows_ref.nextU64() : 0;
+            const uint64_t col_base = stochastic ? cols_ref.nextU64() : 0;
+            const std::string where = std::string(bfp::toString(mode)) +
+                                      " g=" + std::to_string(g);
+
+            for (int r = 0; r < m; ++r) {
+                Rng stream = Rng::stream(row_base, static_cast<uint64_t>(r));
+                for (int c = 0; c < chunks; ++c) {
+                    const int start = c * g;
+                    const int len = std::min(g, k - start);
+                    const bfp::BfpBlock blk = bfp::encodeBlock(
+                        std::span<const float>(
+                            &a[static_cast<size_t>(r) * k + start],
+                            static_cast<size_t>(len)),
+                        cfg, stochastic ? &stream : nullptr);
+                    EXPECT_EQ(blk.exponent, rows.exponent(r, c)) << where;
+                    const int32_t *pm = rows.chunk(r, c);
+                    for (int t = 0; t < g; ++t)
+                        EXPECT_EQ(pm[t], t < len ? blk.mantissas[t] : 0)
+                            << where << " row " << r << "," << c << "," << t;
+                }
             }
+            for (int j = 0; j < n; ++j) {
+                Rng stream = Rng::stream(col_base, static_cast<uint64_t>(j));
+                for (int c = 0; c < chunks; ++c) {
+                    const int start = c * g;
+                    const int len = std::min(g, k - start);
+                    std::vector<float> col(static_cast<size_t>(len));
+                    for (int t = 0; t < len; ++t)
+                        col[t] = b[static_cast<size_t>(start + t) * n + j];
+                    const bfp::BfpBlock blk = bfp::encodeBlock(
+                        col, cfg, stochastic ? &stream : nullptr);
+                    EXPECT_EQ(blk.exponent, cols.exponent(j, c)) << where;
+                    const int32_t *panel = cols.panel(c);
+                    for (int t = 0; t < g; ++t)
+                        EXPECT_EQ(panel[static_cast<size_t>(t) * n + j],
+                                  t < len ? blk.mantissas[t] : 0)
+                            << where << " col " << j << "," << c << "," << t;
+                }
+            }
+            // Each encoder drew its one base value and nothing more.
+            EXPECT_EQ(rows_rng.nextU64(), rows_ref.nextU64()) << where;
+            EXPECT_EQ(cols_rng.nextU64(), cols_ref.nextU64()) << where;
         }
     }
 }

@@ -207,6 +207,31 @@ TEST(ObsHistogram, CountSumMinMaxAreTracked)
     EXPECT_EQ(h.count(), 0u);
 }
 
+TEST(ObsHistogram, CountedRecordEqualsRepeatedRecords)
+{
+    ObsStateGuard guard;
+    obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
+    obs::Histogram &counted = reg.histogram("test.hist.counted");
+    obs::Histogram &repeated = reg.histogram("test.hist.repeated");
+    counted.reset();
+    repeated.reset();
+    const std::pair<uint64_t, uint64_t> samples[] = {
+        {0, 1}, {7, 3}, {128, 250}, {133, 2}, {90000, 5},
+        {uint64_t{1} << 40, 4}, {42, 0}};
+    for (const auto &[value, count] : samples) {
+        counted.record(value, count);
+        for (uint64_t i = 0; i < count; ++i)
+            repeated.record(value);
+    }
+    std::vector<uint64_t> a(obs::Histogram::kBuckets);
+    std::vector<uint64_t> b(obs::Histogram::kBuckets);
+    counted.aggregate(a.data());
+    repeated.aggregate(b.data());
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(counted.count(), 265u);
+    EXPECT_EQ(counted.snapshot().sum, repeated.snapshot().sum);
+}
+
 TEST(ObsHistogram, QuantilesMatchExactNearestRankWithinBucketError)
 {
     // The acceptance bar for the histogram design: its p50/p95/p99 must

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -22,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "bfp/bfp_gemm.h"
 #include "models/zoo.h"
 #include "nn/gemm_backend.h"
 #include "obs/fidelity.h"
@@ -419,6 +421,116 @@ TEST(FidelityHealth, BfpAndPhotonicCountersAccumulate)
     EXPECT_EQ(counterValue("fidelity.photonic.mvm_probes"), 2u);
     EXPECT_EQ(counterValue("fidelity.photonic.residue_checks"), 10u);
     EXPECT_EQ(counterValue("fidelity.photonic.residue_errors"), 2u);
+}
+
+/**
+ * Shared exponent and clip count of one Nearest-rounded group, worked out
+ * per element with frexp/ldexp: the values a per-group noteBfpGroup call
+ * records for it.
+ */
+std::pair<int, int>
+nearestGroupNote(const std::vector<float> &group, int bm)
+{
+    int shared = 0;
+    bool nonzero = false;
+    for (float v : group) {
+        if (v == 0.0f)
+            continue;
+        int e = 0;
+        std::frexp(v, &e);
+        shared = nonzero ? std::max(shared, e) : e;
+        nonzero = true;
+    }
+    if (!nonzero)
+        return {0, 0};
+    int clipped = 0;
+    for (float v : group) {
+        const double s = std::ldexp(static_cast<double>(v), bm - shared);
+        const double q = s >= 0.0 ? std::floor(s + 0.5) : std::ceil(s - 0.5);
+        clipped += (q > (1 << bm) - 1 || q < -(1 << bm)) ? 1 : 0;
+    }
+    return {shared, clipped};
+}
+
+struct BfpTelemetry
+{
+    uint64_t groups = 0;
+    uint64_t clipped = 0;
+    std::vector<uint64_t> exponent_buckets;
+    double exponent_sum = 0.0;
+};
+
+BfpTelemetry
+bfpTelemetry()
+{
+    BfpTelemetry t;
+    t.groups = counterValue("fidelity.bfp.groups");
+    t.clipped = counterValue("fidelity.bfp.clipped_mantissas");
+    const obs::Histogram *h = obs::MetricsRegistry::global().findHistogram(
+        "fidelity.bfp.exponent_bias128");
+    t.exponent_buckets.assign(obs::Histogram::kBuckets, 0);
+    if (h != nullptr) {
+        h->aggregate(t.exponent_buckets.data());
+        t.exponent_sum = h->snapshot().sum;
+    }
+    return t;
+}
+
+TEST(FidelityHealth, BfpGemmTalliesEqualPerGroupNotes)
+{
+    // A GEMM's batched fidelity.bfp.* flushes against one noteBfpGroup per
+    // group of A's rows and B's columns, over all-zero, subnormal, clipping
+    // (0.999 rounds to 16 at bm = 4) and ordinary groups with a ragged tail.
+    FidelityGuard guard;
+    const int m = 6, k = 40, n = 11;
+    const bfp::BfpConfig cfg{4, 16, bfp::Rounding::Nearest};
+    Rng rng(31);
+    const auto value = [&](int kind) -> float {
+        switch (kind % 4) {
+          case 0: return 0.0f;
+          case 1: return static_cast<float>(rng.gaussian(0.0, 1e-40));
+          case 2: return rng.uniformReal() < 0.3 ? 0.999f : -0.4f;
+          default: return static_cast<float>(rng.gaussian());
+        }
+    };
+    std::vector<float> a(static_cast<size_t>(m) * k);
+    std::vector<float> b(static_cast<size_t>(k) * n);
+    for (int r = 0; r < m; ++r)
+        for (int kk = 0; kk < k; ++kk)
+            a[static_cast<size_t>(r) * k + kk] = value(r + kk / 16);
+    for (int kk = 0; kk < k; ++kk)
+        for (int j = 0; j < n; ++j)
+            b[static_cast<size_t>(kk) * n + j] = value(j + kk / 16);
+
+    std::vector<float> c(static_cast<size_t>(m) * n);
+    bfp::bfpGemm(a, b, c, m, k, n, cfg, nullptr);
+    const BfpTelemetry batched = bfpTelemetry();
+
+    fid::resetForTest();
+    for (int r = 0; r < m; ++r)
+        for (int start = 0; start < k; start += 16) {
+            const std::vector<float> group(
+                a.begin() + r * k + start,
+                a.begin() + r * k + std::min(k, start + 16));
+            const auto [e, clipped] = nearestGroupNote(group, cfg.bm);
+            fid::noteBfpGroup(e, clipped);
+        }
+    for (int j = 0; j < n; ++j)
+        for (int start = 0; start < k; start += 16) {
+            std::vector<float> group;
+            for (int kk = start; kk < std::min(k, start + 16); ++kk)
+                group.push_back(b[static_cast<size_t>(kk) * n + j]);
+            const auto [e, clipped] = nearestGroupNote(group, cfg.bm);
+            fid::noteBfpGroup(e, clipped);
+        }
+    const BfpTelemetry per_group = bfpTelemetry();
+
+    EXPECT_EQ(batched.groups, static_cast<uint64_t>((m + n) * 3));
+    EXPECT_GT(batched.clipped, 0u);
+    EXPECT_EQ(batched.groups, per_group.groups);
+    EXPECT_EQ(batched.clipped, per_group.clipped);
+    EXPECT_EQ(batched.exponent_buckets, per_group.exponent_buckets);
+    EXPECT_EQ(batched.exponent_sum, per_group.exponent_sum);
 }
 
 // ---------------------------------------------------------------------------

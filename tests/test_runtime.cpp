@@ -296,6 +296,36 @@ TEST(ThreadPool, ShutdownDegradesToSerialButStaysUsable)
     pool.shutdown(); // idempotent
 }
 
+TEST(ThreadPool, SerialScopeRunsLoopsInlineOverTheSameBlocks)
+{
+    runtime::ThreadPool pool(4);
+    EXPECT_FALSE(pool.runsSerially(8));
+    std::vector<std::pair<int64_t, int64_t>> blocks;
+    {
+        runtime::SerialScope outer;
+        {
+            runtime::SerialScope inner; // scopes nest
+        }
+        EXPECT_TRUE(pool.runsSerially(8));
+        // The scope belongs to the thread that opened it.
+        bool other_serial = true;
+        std::thread([&] { other_serial = pool.runsSerially(8); }).join();
+        EXPECT_FALSE(other_serial);
+
+        const std::thread::id caller = std::this_thread::get_id();
+        pool.parallelFor(103, 10, [&](int64_t b, int64_t e) {
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+            blocks.emplace_back(b, e);
+        });
+    }
+    EXPECT_FALSE(pool.runsSerially(8));
+    ASSERT_EQ(blocks.size(), 11u);
+    for (size_t i = 0; i < blocks.size(); ++i) {
+        const int64_t b = 10 * static_cast<int64_t>(i);
+        EXPECT_EQ(blocks[i], std::make_pair(b, std::min<int64_t>(103, b + 10)));
+    }
+}
+
 TEST(ThreadPool, ParseThreadsEnvAcceptsOnlyPositiveIntegers)
 {
     using runtime::ThreadPool;
@@ -557,6 +587,50 @@ TEST_F(RuntimeEngineTest, CompatibleGemmJobsAreBatched)
     EXPECT_EQ(rep.gemm_jobs, 8u);
     EXPECT_EQ(rep.batches_dispatched, 2u); // 8 jobs fused 4 at a time
     EXPECT_EQ(rep.largest_batch, 4u);
+}
+
+TEST_F(RuntimeEngineTest, ConcurrentTileLegsRunTheirGemmsInline)
+{
+    if (!obs::enabled())
+        GTEST_SKIP() << "needs the runtime.pool.loops counter (MIRAGE_OBS)";
+    GlobalThreadsGuard guard(4);
+    obs::Counter &loops =
+        obs::MetricsRegistry::global().counter("runtime.pool.loops");
+    // On its own, each of these GEMMs forks a row loop onto the pool.
+    std::vector<runtime::GemmRequest> reqs;
+    for (int j = 0; j < 4; ++j)
+        reqs.push_back(makeRequest(rng, 64, 64, 64));
+    uint64_t before = loops.value();
+    core::MirageAccelerator accel;
+    const std::vector<float> direct =
+        accel.gemm(reqs[0].a, reqs[0].b, 64, 64, 64);
+    ASSERT_GT(loops.value(), before);
+
+    runtime::EngineConfig cfg;
+    cfg.tiles = 2;
+    cfg.max_batch = 4;
+    runtime::RuntimeEngine engine(cfg);
+    std::promise<void> gate;
+    std::shared_future<void> opened = gate.get_future().share();
+    auto gate_job = engine.submitTask(
+        [opened](core::MirageAccelerator &, Rng &) { opened.wait(); });
+    std::vector<std::future<runtime::GemmResult>> futs;
+    for (const runtime::GemmRequest &r : reqs)
+        futs.push_back(engine.submitGemm(r));
+    before = loops.value();
+    gate.set_value();
+    std::vector<std::vector<float>> out;
+    for (auto &f : futs)
+        out.push_back(f.get().c);
+    gate_job.get();
+    engine.drain();
+
+    // One fused group over two tiles: the loop over the tile legs is the
+    // only threaded dispatch, and the results are unchanged.
+    const runtime::RuntimeReport rep = engine.report();
+    EXPECT_EQ(rep.batches_dispatched, 1u);
+    EXPECT_EQ(loops.value() - before, 1u);
+    EXPECT_EQ(out[0], direct);
 }
 
 TEST_F(RuntimeEngineTest, FullQueueBlocksSubmissionUntilSpaceFrees)

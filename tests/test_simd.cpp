@@ -15,7 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/simd.h"
@@ -81,15 +84,6 @@ TEST_F(SimdTest, DotsMatchScalarReference)
         const auto bi = ints(static_cast<size_t>(n), -4000, 4000);
         EXPECT_EQ(simd::dotI32I64(ai.data(), bi.data(), n),
                   simd::scalar::dotI32I64(ai.data(), bi.data(), n))
-            << "n=" << n;
-
-        std::vector<uint32_t> au(static_cast<size_t>(n)), bu(au.size());
-        for (size_t i = 0; i < au.size(); ++i) {
-            au[i] = static_cast<uint32_t>(ai[i] + 4000);
-            bu[i] = static_cast<uint32_t>(bi[i] + 4000);
-        }
-        EXPECT_EQ(simd::dotU32U64(au.data(), bu.data(), n),
-                  simd::scalar::dotU32U64(au.data(), bu.data(), n))
             << "n=" << n;
 
         const auto ar = residues(static_cast<size_t>(n), (1u << 21) - 9);
@@ -193,6 +187,92 @@ TEST_F(SimdTest, IntegerPanelKernelsMatchScalarReference)
             simd::scalar::gemmPanel4U64Lo32(au.data(), lda, bu.data(), ldb,
                                             kd, uacc_ref.data(), jt);
             EXPECT_EQ(uacc_vec, uacc_ref) << "kd=" << kd << " jt=" << jt;
+        }
+    }
+}
+
+TEST_F(SimdTest, BfpEncodeKernelsMatchScalarReference)
+{
+    // Float inputs spanning the encoder's edge cases: +-0, subnormals,
+    // values near FLT_MAX, and (for the max kernels) Inf and NaN.
+    const auto edgeFloats = [&](size_t n, bool non_finite) {
+        std::vector<float> v(n);
+        for (auto &x : v) {
+            const double u = rng.uniformReal();
+            const double gv = rng.gaussian();
+            x = u < 0.1    ? 0.0f
+                : u < 0.2  ? -0.0f
+                : u < 0.35 ? static_cast<float>(gv * 1e-41)
+                : u < 0.45 ? static_cast<float>(gv * 1e37)
+                           : static_cast<float>(gv);
+            if (non_finite && u > 0.97)
+                x = u > 0.985 ? std::numeric_limits<float>::infinity()
+                              : -std::numeric_limits<float>::quiet_NaN();
+        }
+        return v;
+    };
+    for (int n : {0, 1, 7, 8, 9, 13, 16, 31, 32, 40}) {
+        for (const bool non_finite : {false, true}) {
+            const auto x = edgeFloats(static_cast<size_t>(n), non_finite);
+            EXPECT_EQ(simd::maxAbsBitsF32(x.data(), n),
+                      simd::scalar::maxAbsBitsF32(x.data(), n))
+                << "n=" << n;
+        }
+    }
+    for (int rows : {1, 5, 16}) {
+        for (int w : {1, 7, 8, 9, 21}) {
+            const int64_t ldx = w + 3;
+            const auto x = edgeFloats(static_cast<size_t>(rows) * ldx, true);
+            std::vector<uint32_t> m_vec(static_cast<size_t>(w), 7);
+            std::vector<uint32_t> m_ref(static_cast<size_t>(w), 9);
+            simd::maxAbsBitsColsF32(x.data(), ldx, rows, w, m_vec.data());
+            simd::scalar::maxAbsBitsColsF32(x.data(), ldx, rows, w,
+                                            m_ref.data());
+            EXPECT_EQ(m_vec, m_ref) << "rows=" << rows << " w=" << w;
+        }
+    }
+
+    // Quantizer: power-of-two scales per column or per row, wide enough to
+    // clip at both ends of [-16, 15], every mode, ragged column tails.
+    for (const simd::QuantRound mode :
+         {simd::QuantRound::Floor, simd::QuantRound::HalfAway,
+          simd::QuantRound::Stochastic}) {
+        for (const bool column_scales : {true, false}) {
+            for (int rows : {1, 3}) {
+                for (int w : {1, 7, 8, 9, 21}) {
+                    const int64_t ldx = w + 1, ldq = w + 2;
+                    // Finite scaled values only: clamp the near-FLT_MAX
+                    // inputs.
+                    auto x = edgeFloats(static_cast<size_t>(rows) * ldx,
+                                        false);
+                    for (auto &v : x)
+                        if (std::fabs(v) > 1e6f)
+                            v = std::copysign(7.75f, v);
+                    std::vector<double> scale(
+                        static_cast<size_t>(std::max(rows, w)));
+                    for (size_t i = 0; i < scale.size(); ++i)
+                        scale[i] = std::ldexp(1.0, static_cast<int>(i % 6) - 1);
+                    std::vector<double> u(static_cast<size_t>(rows) * w);
+                    for (auto &v : u)
+                        v = rng.uniformReal();
+                    std::vector<int32_t> q_vec(
+                        static_cast<size_t>(rows) * ldq, -99);
+                    auto q_ref = q_vec;
+                    const int64_t c_vec = simd::quantizeF32(
+                        x.data(), ldx, rows, w, scale.data(), column_scales,
+                        mode, u.data(), -16, 15, q_vec.data(), ldq);
+                    const int64_t c_ref = simd::scalar::quantizeF32(
+                        x.data(), ldx, rows, w, scale.data(), column_scales,
+                        mode, u.data(), -16, 15, q_ref.data(), ldq);
+                    const std::string where =
+                        "mode=" + std::to_string(static_cast<int>(mode)) +
+                        " columns=" + std::to_string(column_scales) +
+                        " rows=" + std::to_string(rows) +
+                        " w=" + std::to_string(w);
+                    EXPECT_EQ(q_vec, q_ref) << where;
+                    EXPECT_EQ(c_vec, c_ref) << where;
+                }
+            }
         }
     }
 }
