@@ -179,6 +179,35 @@ BM_BfpGemm(benchmark::State &state)
 }
 BENCHMARK(BM_BfpGemm)->Arg(32)->Arg(64)->Arg(128);
 
+/**
+ * BFP(4, 16) GEMM of one M x K x N training shape of bench/train_soak's
+ * small CNN at micro-batch 4: conv1 dW 8 x 1024 x 9 (N off the kernel's
+ * 8-column step), fc1 dW 64 x 4 x 256 (K = 4, shorter than one group) and
+ * conv2 forward 16 x 72 x 256 (a ragged last chunk).
+ */
+void
+BM_BfpGemmTrain(benchmark::State &state, int m, int k, int n)
+{
+    Rng rng(13);
+    std::vector<float> a(static_cast<size_t>(m) * k),
+        b(static_cast<size_t>(k) * n), c(static_cast<size_t>(m) * n);
+    for (auto &v : a)
+        v = static_cast<float>(rng.gaussian());
+    for (auto &v : b)
+        v = static_cast<float>(rng.gaussian());
+    bfp::BfpGemmOptions opts;
+    opts.config = {4, 16, bfp::Rounding::Truncate};
+    for (auto _ : state) {
+        bfp::bfpGemm(a, b, c, m, k, n, opts);
+        benchmark::DoNotOptimize(c.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * int64_t{m} * k * n);
+}
+BENCHMARK_CAPTURE(BM_BfpGemmTrain, conv1_dW, 8, 1024, 9);
+BENCHMARK_CAPTURE(BM_BfpGemmTrain, fc1_dW, 64, 4, 256);
+BENCHMARK_CAPTURE(BM_BfpGemmTrain, conv2_fwd, 16, 72, 256);
+
 void
 BM_Fp32Gemm(benchmark::State &state)
 {

@@ -24,20 +24,17 @@ namespace {
 constexpr int64_t kEncodeGrain = 8;
 constexpr int64_t kEncodeColGrain = 64;
 constexpr int64_t kComputeGrain = 4;
-/// Serial-below cutoffs. Encoding costs tens of cycles per element and the
-/// compute loop a few per MAC; below these counts the work finishes faster
-/// than the workers wake. (They were 4096/16384 — low enough that tiny
-/// layers paid dispatch overhead for microseconds of work, a measurable
-/// part of the historical multi-thread slowdown.)
+/// Serial-below cutoffs. Encoding costs about a nanosecond per element and
+/// the fused compute loop about a tenth of one per MAC (AVX2, 4-vCPU
+/// Xeon); below these counts the work takes microseconds and finishes
+/// faster than the workers wake. (They were 4096/16384 — low enough that
+/// tiny layers paid dispatch overhead for microseconds of work, a
+/// measurable part of the historical multi-thread slowdown.)
 constexpr int64_t kMinEncodeWork = 16384;
 constexpr int64_t kMinComputeWork = 65536;
 
-/// Rows of one integer panel (simd::gemmPanel4I32I64).
+/// Output rows of one fused panel (simd::bfpPanel4).
 constexpr int kPanelRows = 4;
-/// Output-column tile of the compute loop: keeps the chunk's B panel slice
-/// and the integer sums L1-resident for large n. Tiling never reorders the
-/// per-element chunk accumulation, so results are unaffected.
-constexpr int kColTile = 64;
 
 /// Stochastic-rounding substream base of one operand, drawn from the
 /// caller's rng only when its draws are used.
@@ -213,22 +210,25 @@ bfpGemm(std::span<const float> a, std::span<const float> b,
     const BfpColumnPanels b_enc =
         encodeColsPacked(b, k_depth, n_cols, cfg, ws, rng);
 
+    // Per 4-row panel: encode the panel's rows of A, narrow each to the
+    // int16 mantissas the fused kernel pairs (|mantissa| <= 2^bm <= 2^15),
+    // then one simd::bfpPanel4 call writes the panel's outputs over every
+    // chunk. Each chunk dot is exact, is scaled by 2^(ea + eb - 2 bm) and
+    // added to its FP32 output in ascending chunk order: |dot| <= g 2^(2 bm)
+    // <= 2^50 and the scale is a normal power of two (shared exponents lie
+    // in [-148, 128], so ea + eb - 2 bm is in [-326, 254]), so the double
+    // product is exact — the same value std::ldexp gives. The kernel's int32
+    // lanes hold every dot when g 2^(2 bm) <= 2^31 - 1 (Eq. 13 with
+    // psi = 2^31 - 1, as rns::ModuliSet::canHoldDotProduct tests it); past
+    // that bound its int64 scalar reference runs instead. Output rows are
+    // independent and draw from per-row substreams, so the parallel result
+    // is bit-identical to serial execution.
     const int chunks = b_enc.chunk_count;
-    const int g = cfg.g;
-    const size_t n = static_cast<size_t>(n_cols);
-
-    // Per 4-row panel: encode the panel's rows of A (padding past K and
-    // rows past m are zero, which the panel kernel skips), then per column
-    // tile one exact int32 x int32 -> int64 panel GEMM per chunk, each chunk
-    // sum scaled by 2^(ea + eb - 2 bm) and added to its FP32 output in
-    // ascending chunk order. |sum| <= g 2^(2 bm) <= 2^50 and the scale is a
-    // normal power of two (shared exponents lie in [-148, 128], so
-    // ea + eb - 2 bm is in [-326, 254]), so the double product is exact —
-    // the same value std::ldexp gives — and every output sees the float
-    // operations of a per-element loop. Output rows are independent and
-    // draw from per-row substreams, so the parallel result is
-    // bit-identical to serial execution.
-    const int64_t lda = static_cast<int64_t>(chunks) * g;
+    const int64_t lda = static_cast<int64_t>(chunks) * cfg.g;
+    const auto panel_kernel =
+        (int64_t{cfg.g} << (2 * cfg.bm)) <= INT32_MAX
+            ? simd::bfpPanel4
+            : simd::scalar::bfpPanel4;
     const int64_t panels = ceilDiv(m_rows, kPanelRows);
     runtime::parallelFor(
         panels,
@@ -238,45 +238,29 @@ bfpGemm(std::span<const float> a, std::span<const float> b,
         [&](int64_t p0, int64_t p1) {
             Workspace &tws = threadWorkspace();
             Workspace::Scope tscope(tws);
-            std::span<int32_t> a_panel = tws.alloc<int32_t>(kPanelRows * lda);
+            std::span<int32_t> a_row = tws.alloc<int32_t>(lda);
+            std::span<int16_t> a_panel =
+                tws.alloc<int16_t>(static_cast<size_t>(kPanelRows) * k_depth);
             std::span<int32_t> a_exps =
                 tws.alloc<int32_t>(static_cast<size_t>(kPanelRows) * chunks);
-            std::span<int64_t> sums = tws.alloc<int64_t>(
-                static_cast<size_t>(kPanelRows) * std::min(kColTile, n_cols));
             obs::fidelity::BfpGroupTally tally;
             for (int64_t p = p0; p < p1; ++p) {
                 const int i0 = static_cast<int>(p) * kPanelRows;
                 const int rows = std::min(kPanelRows, m_rows - i0);
-                for (int r = 0; r < kPanelRows; ++r) {
-                    int32_t *dst = a_panel.data() + r * lda;
-                    if (r < rows)
-                        encodeRow(a, k_depth, i0 + r, cfg, a_base, dst,
-                                  a_exps.data() + r * chunks, tally);
-                    else
-                        std::fill_n(dst, lda, 0);
+                for (int r = 0; r < rows; ++r) {
+                    encodeRow(a, k_depth, i0 + r, cfg, a_base, a_row.data(),
+                              a_exps.data() + r * chunks, tally);
+                    std::transform(a_row.begin(), a_row.begin() + k_depth,
+                                   a_panel.begin() + r * k_depth,
+                                   [](int32_t q) {
+                                       return static_cast<int16_t>(q);
+                                   });
                 }
-                for (int j0 = 0; j0 < n_cols; j0 += kColTile) {
-                    const int jt = std::min(kColTile, n_cols - j0);
-                    for (int r = 0; r < rows; ++r)
-                        std::fill_n(&c[(i0 + r) * n + j0], jt, 0.0f);
-                    for (int ch = 0; ch < chunks; ++ch) {
-                        std::fill_n(sums.data(), kPanelRows * jt, int64_t{0});
-                        simd::gemmPanel4I32I64(
-                            a_panel.data() + static_cast<size_t>(ch) * g, lda,
-                            b_enc.panel(ch) + j0, n_cols, g, sums.data(), jt);
-                        const int32_t *eb = &b_enc.exponents[ch * n + j0];
-                        for (int r = 0; r < rows; ++r) {
-                            const int ea = a_exps[r * chunks + ch] - 2 * cfg.bm;
-                            const int64_t *row =
-                                &sums[static_cast<size_t>(r) * jt];
-                            float *out = &c[(i0 + r) * n + j0];
-                            for (int j = 0; j < jt; ++j)
-                                out[j] += static_cast<float>(
-                                    static_cast<double>(row[j]) *
-                                    exactPow2(ea + eb[j]));
-                        }
-                    }
-                }
+                panel_kernel(a_panel.data(), k_depth, a_exps.data(),
+                             b_enc.mantissas.data(), b_enc.exponents.data(),
+                             k_depth, cfg.g, n_cols, -2 * cfg.bm,
+                             c.data() + static_cast<size_t>(i0) * n_cols,
+                             n_cols, rows);
             }
             tally.flush();
         });

@@ -46,9 +46,9 @@ struct BfpGemmOptions
  * A's rows and B's columns are BFP-grouped along K in chunks of cfg.g.
  *
  * The span overload writes into caller-provided storage (size m*n) and
- * stages every temporary — B's K-major panels, one encoded 4-row panel of
- * A per worker, integer chunk sums — in Workspace arenas, so warm
- * steady-state calls perform no heap allocation. The vector overload is a
+ * stages every temporary — B's K-major panels and one encoded 4-row panel
+ * of A per worker — in Workspace arenas, so warm steady-state calls
+ * perform no heap allocation. The vector overload is a
  * thin allocating wrapper; results are bit-identical between the two.
  */
 void bfpGemm(std::span<const float> a, std::span<const float> b,
@@ -63,11 +63,13 @@ std::vector<float> bfpGemm(const std::vector<float> &a,
 /**
  * Core kernel behind both overloads. B is encoded once with
  * encodeColsPacked; A is encoded one 4-row panel at a time inside the
- * compute loop, by the same row encoder as encodeRowsPacked, into a panel
- * buffer that stays in the worker's arena. Every chunk dot product is an
- * exact int32 x int32 -> int64 sum, computed as one integer panel GEMM per
- * chunk, scaled by an exact power of two and accumulated in FP32 in
- * ascending chunk order. A non-null `codec` names the moduli set of the
+ * compute loop, by the same row encoder as encodeRowsPacked, and narrowed
+ * to int16 mantissas in a panel buffer that stays in the worker's arena.
+ * One fused panel kernel (simd::bfpPanel4) per 4-row panel then computes
+ * every chunk dot product exactly — int16 pairs multiplied and added into
+ * int32 lanes when g 2^(2 bm) <= 2^31 - 1, in int64 otherwise — scales
+ * it by an exact power of two and accumulates it in FP32 in ascending
+ * chunk order. A non-null `codec` names the moduli set of the
  * RNS domain: it is checked against Eq. (13), under which the RNS round
  * trip returns every chunk dot unchanged, and is not otherwise used.
  * Callers that execute many GEMMs over one moduli set pass a cached codec
@@ -93,8 +95,8 @@ void bfpGemmRnsReference(std::span<const float> a, std::span<const float> b,
                          int n_cols, const BfpConfig &cfg,
                          const rns::RnsCodec &codec, Rng *rng = nullptr);
 
-// Packed encodings: one arena allocation per operand, in the layout the
-// integer panel kernel reads. Each group encodes bit-identically to
+// Packed encodings: one arena allocation per operand; B's layout is the one
+// the fused panel kernel reads. Each group encodes bit-identically to
 // encodeBlock on the same values. Stochastic rounding draws one base value
 // per operand from the caller's rng — A's before B's in a GEMM — and gives
 // each row (A) or column (B) the substream Rng::stream(base, index), so
@@ -130,7 +132,7 @@ struct BfpPackedMatrix
 };
 
 /**
- * Columns of B encoded along K in the K-major layout the integer panel
+ * Columns of B encoded along K in the K-major layout the fused panel
  * kernel streams: mantissas stored [chunk][g][col], so chunk c is a g x
  * cols panel whose row t holds element k = c * g + t of every column, and
  * rows past K in the last chunk are zero. Exponents are stored

@@ -22,6 +22,12 @@
  *   the same roundings per mode. Half-away-from-zero takes ceil(s - 0.5)
  *   for s < 0 as -floor(|s| + 0.5), the same value, since rounding a sum
  *   is sign-symmetric.
+ * - The fused BFP panel (bfpPanel4) computes each chunk dot exactly — in
+ *   int32 lanes, which its caller guarantees cannot overflow — and then
+ *   performs the reference's per-element FP operations: an exact
+ *   conversion to double, an exact multiply by a power of two, one
+ *   rounding to float and one FP32 add per chunk, in ascending chunk
+ *   order.
  *
  * Bit-identity is what lets the vectorized kernels keep the determinism
  * contract of runtime::parallelFor (thread-count-invariant results) *and*
@@ -41,6 +47,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+
+#include "common/math_util.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define MIRAGE_SIMD_AVX2 1
@@ -221,6 +229,60 @@ gemmPanel4U64Lo32(const uint64_t *a, int64_t lda, const uint64_t *b,
             uint64_t *row = acc + static_cast<size_t>(r) * jt;
             for (int j = 0; j < jt; ++j)
                 row[j] += ar * b_row[j];
+        }
+    }
+}
+
+/**
+ * Fused BFP GEMM panel, the compute loop of bfp::bfpGemm: up to four
+ * output rows over every K-chunk. Chunk c covers k in [c g, c g + live),
+ * live = min(g, kd - c g), and for r < rows, j < n:
+ *
+ *   out[r ldo + j] = +0.0f, then for c = 0, 1, ... in ascending order
+ *     += float(double(dot) * 2^(ea[r chunks + c] + eb[c n + j] + ebias)),
+ *   dot = sum over k in chunk c of a[r lda + k] * b[k n + j],
+ *
+ * with chunks = ceil(kd / g). `a` holds each row's int16 mantissas; `b`
+ * is the K-major int32 layout of bfp::BfpColumnPanels, row k at b + k n;
+ * only k < kd is read from either. `ea` is rows x chunks and `eb`
+ * chunks x n. Rows past `rows` are neither read nor written. Every
+ * exponent sum e (in [-326, 254] for BFP) must leave |dot| 2^e finite and
+ * 2^e a normal double, so the double product is exact and the float
+ * conversion is the one rounding.
+ *
+ * This reference sums each dot exactly in int64. The vector bodies sum
+ * (k, k + 1) pairs with a 16-bit multiply-add into int32 lanes, so they
+ * require every partial dot to fit int32; g 2^(2 bm) <= 2^31 - 1 (Eq. 13
+ * with psi = 2^31 - 1) guarantees that for (bm + 1)-bit mantissas, and
+ * callers past that bound call this reference directly.
+ */
+inline void
+bfpPanel4(const int16_t *a, int64_t lda, const int32_t *ea, const int32_t *b,
+          const int32_t *eb, int kd, int g, int n, int ebias, float *out,
+          int64_t ldo, int rows)
+{
+    const int chunks = (kd + g - 1) / g;
+    constexpr int kTile = 8;
+    for (int j0 = 0; j0 < n; j0 += kTile) {
+        const int w = std::min(kTile, n - j0);
+        for (int r = 0; r < rows; ++r) {
+            float acc[kTile] = {};
+            for (int c = 0; c < chunks; ++c) {
+                const int live = std::min(g, kd - c * g);
+                const int16_t *ar = a + r * lda + c * g;
+                const int32_t *bc = b + static_cast<size_t>(c) * g * n + j0;
+                int64_t dot[kTile] = {};
+                for (int t = 0; t < live; ++t)
+                    for (int j = 0; j < w; ++j)
+                        dot[j] += static_cast<int64_t>(ar[t]) *
+                                  bc[static_cast<size_t>(t) * n + j];
+                const int e = ea[r * chunks + c] + ebias;
+                for (int j = 0; j < w; ++j)
+                    acc[j] += static_cast<float>(
+                        static_cast<double>(dot[j]) *
+                        exactPow2(e + eb[static_cast<size_t>(c) * n + j0 + j]));
+            }
+            std::copy_n(acc, w, out + r * ldo + j0);
         }
     }
 }
@@ -770,6 +832,138 @@ gemmPanel4U64Lo32(const uint64_t *a, int64_t lda, const uint64_t *b,
     }
 }
 
+/** Eight int32 lanes at p; under Tail only the lanes set in `mask`, the
+ *  rest read as 0 without touching their memory. */
+template <bool Tail>
+__attribute__((target("avx2"))) inline __m256i
+load8I32(const int32_t *p, __m256i mask)
+{
+    if constexpr (Tail)
+        return _mm256_maskload_epi32(p, mask);
+    else
+        return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p));
+}
+
+/** The int16 pair (p[0], p[1]) as one 32-bit word in every lane. */
+__attribute__((target("avx2"))) inline __m256i
+pairWord(const int16_t *p)
+{
+    int32_t word = 0;
+    std::memcpy(&word, p, sizeof word);
+    return _mm256_set1_epi32(word);
+}
+
+/** The int16 entry *p alone, zero-extended, in every lane. */
+__attribute__((target("avx2"))) inline __m256i
+loneWord(const int16_t *p)
+{
+    return _mm256_set1_epi32(static_cast<uint16_t>(*p));
+}
+
+/** float(double(s) * 2^(e - 1023)) per lane, e = eb + ea: an exact
+ *  widening, the power of two built from the biased exponent e, one
+ *  rounding to float. */
+__attribute__((target("avx2"))) inline __m256
+scaleToF32(__m256i s, __m256i eb, int32_t ea)
+{
+    const __m256i e = _mm256_add_epi32(eb, _mm256_set1_epi32(ea));
+    const __m256d p0 = _mm256_castsi256_pd(_mm256_slli_epi64(
+        _mm256_cvtepi32_epi64(_mm256_castsi256_si128(e)), 52));
+    const __m256d p1 = _mm256_castsi256_pd(_mm256_slli_epi64(
+        _mm256_cvtepi32_epi64(_mm256_extracti128_si256(e, 1)), 52));
+    const __m128 f0 = _mm256_cvtpd_ps(
+        _mm256_mul_pd(_mm256_cvtepi32_pd(_mm256_castsi256_si128(s)), p0));
+    const __m128 f1 = _mm256_cvtpd_ps(
+        _mm256_mul_pd(_mm256_cvtepi32_pd(_mm256_extracti128_si256(s, 1)), p1));
+    return _mm256_insertf128_ps(_mm256_castps128_ps256(f0), f1, 1);
+}
+
+/** bfpPanel4 over output columns [j, j + 8), the last `mask`ed ones only
+ *  under Tail. The 4 x 8 int32 chunk sums and FP32 outputs stay in
+ *  registers; rows past `rows` recompute row 0 and are not stored. */
+template <bool Tail>
+__attribute__((target("avx2"))) inline void
+bfpPanel4Cols(const int16_t *a, int64_t lda, const int32_t *ea,
+              const int32_t *b, const int32_t *eb, int kd, int g, int n,
+              int ebias, float *out, int64_t ldo, int rows, int j,
+              __m256i mask)
+{
+    const int chunks = (kd + g - 1) / g;
+    const int16_t *a0 = a;
+    const int16_t *a1 = rows > 1 ? a + lda : a;
+    const int16_t *a2 = rows > 2 ? a + 2 * lda : a;
+    const int16_t *a3 = rows > 3 ? a + 3 * lda : a;
+    const int32_t *e0 = ea;
+    const int32_t *e1 = rows > 1 ? ea + chunks : ea;
+    const int32_t *e2 = rows > 2 ? ea + 2 * chunks : ea;
+    const int32_t *e3 = rows > 3 ? ea + 3 * chunks : ea;
+    const __m256i bias = _mm256_set1_epi32(ebias + 1023);
+    __m256 f0 = _mm256_setzero_ps(), f1 = f0, f2 = f0, f3 = f0;
+    for (int c = 0; c < chunks; ++c) {
+        const int k1 = std::min((c + 1) * g, kd);
+        __m256i s0 = _mm256_setzero_si256(), s1 = s0, s2 = s0, s3 = s0;
+        int k = c * g;
+        for (; k + 1 < k1; k += 2) {
+            // B rows k and k + 1 as the (low, high) int16 halves of each
+            // column's lane, against A's entries k and k + 1 as one word.
+            const int32_t *bk = b + static_cast<size_t>(k) * n + j;
+            const __m256i bp = _mm256_blend_epi16(
+                load8I32<Tail>(bk, mask),
+                _mm256_slli_epi32(load8I32<Tail>(bk + n, mask), 16), 0xAA);
+            s0 = _mm256_add_epi32(s0, _mm256_madd_epi16(pairWord(a0 + k), bp));
+            s1 = _mm256_add_epi32(s1, _mm256_madd_epi16(pairWord(a1 + k), bp));
+            s2 = _mm256_add_epi32(s2, _mm256_madd_epi16(pairWord(a2 + k), bp));
+            s3 = _mm256_add_epi32(s3, _mm256_madd_epi16(pairWord(a3 + k), bp));
+        }
+        if (k < k1) {
+            // A ragged last row pairs with zero: A's word is its lone
+            // entry, zero-extended, so B's sign bits in the high half
+            // multiply nothing.
+            const __m256i bl =
+                load8I32<Tail>(b + static_cast<size_t>(k) * n + j, mask);
+            s0 = _mm256_add_epi32(s0, _mm256_madd_epi16(loneWord(a0 + k), bl));
+            s1 = _mm256_add_epi32(s1, _mm256_madd_epi16(loneWord(a1 + k), bl));
+            s2 = _mm256_add_epi32(s2, _mm256_madd_epi16(loneWord(a2 + k), bl));
+            s3 = _mm256_add_epi32(s3, _mm256_madd_epi16(loneWord(a3 + k), bl));
+        }
+        const __m256i eb_biased = _mm256_add_epi32(
+            load8I32<Tail>(eb + static_cast<size_t>(c) * n + j, mask), bias);
+        f0 = _mm256_add_ps(f0, scaleToF32(s0, eb_biased, e0[c]));
+        f1 = _mm256_add_ps(f1, scaleToF32(s1, eb_biased, e1[c]));
+        f2 = _mm256_add_ps(f2, scaleToF32(s2, eb_biased, e2[c]));
+        f3 = _mm256_add_ps(f3, scaleToF32(s3, eb_biased, e3[c]));
+    }
+    const __m256 f[4] = {f0, f1, f2, f3};
+    for (int r = 0; r < rows; ++r) {
+        float *dst = out + r * ldo + j;
+        if constexpr (Tail)
+            _mm256_maskstore_ps(dst, mask, f[r]);
+        else
+            _mm256_storeu_ps(dst, f[r]);
+    }
+}
+
+/** Fused BFP panel: 8-column tiles of int16-pair multiply-adds into int32
+ *  lanes (vpmaddwd), a masked tile for the last n % 8 columns. Requires
+ *  every partial chunk dot to fit int32 (see scalar::bfpPanel4). */
+__attribute__((target("avx2"))) inline void
+bfpPanel4(const int16_t *a, int64_t lda, const int32_t *ea, const int32_t *b,
+          const int32_t *eb, int kd, int g, int n, int ebias, float *out,
+          int64_t ldo, int rows)
+{
+    int j = 0;
+    for (; j + 8 <= n; j += 8)
+        bfpPanel4Cols<false>(a, lda, ea, b, eb, kd, g, n, ebias, out, ldo,
+                             rows, j, _mm256_set1_epi32(-1));
+    if (j < n) {
+        const __m256i mask =
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(n - j),
+                               _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+        bfpPanel4Cols<true>(a, lda, ea, b, eb, kd, g, n, ebias, out, ldo,
+                            rows, j, mask);
+    }
+}
+
 __attribute__((target("avx2"))) inline __m256i
 absBits8(const float *x)
 {
@@ -1138,6 +1332,14 @@ gemmPanel4U64Lo32(const uint64_t *a, int64_t lda, const uint64_t *b,
     scalar::gemmPanel4U64Lo32(a, lda, b, ldb, kd, acc, jt);
 }
 
+inline void
+bfpPanel4(const int16_t *a, int64_t lda, const int32_t *ea, const int32_t *b,
+          const int32_t *eb, int kd, int g, int n, int ebias, float *out,
+          int64_t ldo, int rows)
+{
+    scalar::bfpPanel4(a, lda, ea, b, eb, kd, g, n, ebias, out, ldo, rows);
+}
+
 inline uint32_t
 maxAbsBitsF32(const float *x, int n)
 {
@@ -1300,6 +1502,17 @@ gemmPanel4U64Lo32(const uint64_t *a, int64_t lda, const uint64_t *b,
                   int64_t ldb, int kd, uint64_t *acc, int jt)
 {
     MIRAGE_SIMD_DISPATCH(gemmPanel4U64Lo32, a, lda, b, ldb, kd, acc, jt);
+}
+
+/** Dispatched scalar::bfpPanel4. The vector bodies need every partial
+ *  chunk dot to fit int32; past that bound, call scalar::bfpPanel4. */
+inline void
+bfpPanel4(const int16_t *a, int64_t lda, const int32_t *ea, const int32_t *b,
+          const int32_t *eb, int kd, int g, int n, int ebias, float *out,
+          int64_t ldo, int rows)
+{
+    MIRAGE_SIMD_DISPATCH(bfpPanel4, a, lda, ea, b, eb, kd, g, n, ebias, out,
+                         ldo, rows);
 }
 
 inline uint32_t

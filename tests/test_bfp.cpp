@@ -231,6 +231,24 @@ TEST(BfpGemmTest, AllMinimumMantissasAtTheEq13Bound)
     expectRnsTransparent(a, b, 1, 16, 1, cfg, rns::ModuliSet({8193}));
 }
 
+TEST(BfpGemmTest, AllMinimumMantissasAtTheInt32Bound)
+{
+    // -0.99999994 (just above -1) truncates to mantissa -2^bm at exponent
+    // 0 for every bm here, so one g-element chunk dot is g 2^(2 bm) and the
+    // GEMM returns exactly g. The vector kernel sums chunk dots in int32
+    // lanes, which hold them up to 2^31 - 1: bm = 13, g = 31 is the widest
+    // config inside that bound. bm = 13, g = 32 and bm = 15, g = 2 reach
+    // 2^31, which an int32 sum or a 16-bit multiply-add pair would wrap to
+    // -2^31 (returning -32 and -2); they run the int64 reference instead.
+    for (const auto &[bm, g] : {std::pair{13, 31}, {13, 32}, {15, 2}}) {
+        const std::vector<float> a(static_cast<size_t>(g), -0.99999994f);
+        BfpGemmOptions opts;
+        opts.config = {bm, g, Rounding::Truncate};
+        EXPECT_EQ(bfpGemm(a, a, 1, g, 1, opts)[0], static_cast<float>(g))
+            << "bm=" << bm << " g=" << g;
+    }
+}
+
 TEST_F(BfpSeeded, QuantizationErrorShrinksWithMantissaBits)
 {
     const int m = 8, k = 64, n = 8;

@@ -10,12 +10,16 @@
  *
  * On hosts without AVX2/NEON the wrappers dispatch to the scalar reference
  * and these tests pass trivially; on vector hardware they pin the real
- * vector bodies (including ragged tails and the per-row zero-skip).
+ * vector bodies, including ragged column tails, the FP32/integer panels'
+ * per-row zero skip, and the fused BFP panel's ragged chunks, masked
+ * column tail and int32 lanes at their bound.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -27,6 +31,16 @@
 namespace {
 
 using namespace mirage;
+
+/** Byte equality of two float vectors (empty ones never reach memcmp,
+ *  whose pointer arguments must not be null). */
+bool
+sameBytes(const std::vector<float> &x, const std::vector<float> &y)
+{
+    return x.size() == y.size() &&
+           (x.empty() ||
+            std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0);
+}
 
 class SimdTest : public mirage::test::SeededTest
 {
@@ -103,9 +117,7 @@ TEST_F(SimdTest, AxpysMatchScalarReferenceBitExact)
             auto r_ref = r_vec;
             simd::axpyF32(a, b.data(), r_vec.data(), n);
             simd::scalar::axpyF32(a, b.data(), r_ref.data(), n);
-            EXPECT_EQ(0, std::memcmp(r_vec.data(), r_ref.data(),
-                                     r_vec.size() * sizeof(float)))
-                << "n=" << n << " a=" << a;
+            EXPECT_TRUE(sameBytes(r_vec, r_ref)) << "n=" << n << " a=" << a;
         }
 
         auto r0 = floats(static_cast<size_t>(n)), r1 = r0, r2 = r0, r3 = r0;
@@ -116,9 +128,7 @@ TEST_F(SimdTest, AxpysMatchScalarReferenceBitExact)
                                s1.data(), s2.data(), s3.data(), n);
         for (auto [v, s] : {std::pair{&r0, &s0}, {&r1, &s1}, {&r2, &s2},
                             {&r3, &s3}})
-            EXPECT_EQ(0, std::memcmp(v->data(), s->data(),
-                                     v->size() * sizeof(float)))
-                << "n=" << n;
+            EXPECT_TRUE(sameBytes(*v, *s)) << "n=" << n;
 
         const auto bi = ints(static_cast<size_t>(n), -100000, 100000);
         std::vector<int64_t> iv(static_cast<size_t>(n), 7), ir = iv;
@@ -150,8 +160,7 @@ TEST_F(SimdTest, Fp32PanelKernelMatchesScalarReferenceBitExact)
                                 acc_vec.data(), jt);
             simd::scalar::gemmPanel4F32(a.data(), lda, b.data(), ldb, kd,
                                         acc_ref.data(), jt);
-            EXPECT_EQ(0, std::memcmp(acc_vec.data(), acc_ref.data(),
-                                     acc_vec.size() * sizeof(float)))
+            EXPECT_TRUE(sameBytes(acc_vec, acc_ref))
                 << "kd=" << kd << " jt=" << jt;
         }
     }
@@ -275,6 +284,114 @@ TEST_F(SimdTest, BfpEncodeKernelsMatchScalarReference)
             }
         }
     }
+}
+
+TEST_F(SimdTest, FusedBfpPanelMatchesScalarReference)
+{
+    // Each g runs at the widest mantissa whose chunk dots still fit the
+    // vector bodies' int32 lanes, g 2^(2 bm) <= 2^31 - 1, so the
+    // all-minimum (-2^bm) mantissas reach that bound. Shared exponents
+    // span the encoder's [-148, 128] with ebias = -2 bm, so exponent sums
+    // reach both ends of [-326, 254]: outputs overflow to +-Inf (and
+    // Inf - Inf to NaN) and land subnormal. A and B are sized exactly
+    // (rows x K, K x n), so a sanitizer build catches a read past either;
+    // the output is a sentinel-filled 4-row panel with a padded row stride
+    // whose entries outside rows x n must keep the sentinel. The scalar
+    // reference is also checked against the per-element definition.
+    constexpr float kSentinel = -12345.5f;
+    const auto exponent = [&] {
+        const double u = rng.uniformReal();
+        return u < 0.2   ? -148
+               : u < 0.4 ? 128
+                         : static_cast<int32_t>(-148 + u * 276.0);
+    };
+    const auto bits = [](float x) { return std::bit_cast<uint32_t>(x); };
+    int infinite = 0, subnormal = 0;
+    for (int g : {1, 2, 13, 16}) {
+        int bm = 15;
+        while ((int64_t{g} << (2 * bm)) > INT32_MAX)
+            --bm;
+        const int32_t qmin = -(1 << bm), qmax = (1 << bm) - 1;
+        for (int kd : {1, 4, 8, 9, 16, 17, 72}) {
+            const int chunks = (kd + g - 1) / g;
+            for (int n : {1, 4, 7, 8, 9, 23, 64}) {
+                for (int rows : {1, 3, 4}) {
+                    for (const bool all_min : {false, true}) {
+                        const auto mantissas = [&](size_t count) {
+                            std::vector<int32_t> v = ints(count, qmin, qmax);
+                            for (auto &x : v)
+                                if (all_min)
+                                    x = qmin;
+                                else if (rng.uniformReal() < 0.1)
+                                    x = 0;
+                            return v;
+                        };
+                        const std::vector<int32_t> a32 =
+                            mantissas(static_cast<size_t>(rows) * kd);
+                        const std::vector<int16_t> a(a32.begin(), a32.end());
+                        const std::vector<int32_t> b =
+                            mantissas(static_cast<size_t>(kd) * n);
+                        std::vector<int32_t> ea(
+                            static_cast<size_t>(rows) * chunks);
+                        std::vector<int32_t> eb(
+                            static_cast<size_t>(chunks) * n);
+                        for (auto &e : ea)
+                            e = exponent();
+                        for (auto &e : eb)
+                            e = exponent();
+                        const int64_t ldo = n + 3;
+                        std::vector<float> out_vec(
+                            static_cast<size_t>(4) * ldo, kSentinel);
+                        std::vector<float> out_ref = out_vec;
+                        simd::bfpPanel4(a.data(), kd, ea.data(), b.data(),
+                                        eb.data(), kd, g, n, -2 * bm,
+                                        out_vec.data(), ldo, rows);
+                        simd::scalar::bfpPanel4(a.data(), kd, ea.data(),
+                                                b.data(), eb.data(), kd, g,
+                                                n, -2 * bm, out_ref.data(),
+                                                ldo, rows);
+                        const std::string where =
+                            "g=" + std::to_string(g) +
+                            " bm=" + std::to_string(bm) +
+                            " K=" + std::to_string(kd) +
+                            " n=" + std::to_string(n) +
+                            " rows=" + std::to_string(rows) +
+                            " all_min=" + std::to_string(all_min);
+                        ASSERT_TRUE(sameBytes(out_vec, out_ref)) << where;
+                        for (int r = 0; r < 4; ++r) {
+                            for (int j = 0; j < ldo; ++j) {
+                                const float got = out_ref[r * ldo + j];
+                                if (r >= rows || j >= n) {
+                                    ASSERT_EQ(bits(got), bits(kSentinel))
+                                        << where << " r=" << r << " j=" << j;
+                                    continue;
+                                }
+                                float want = 0.0f;
+                                for (int c = 0; c < chunks; ++c) {
+                                    int64_t dot = 0;
+                                    for (int k = c * g;
+                                         k < std::min(kd, (c + 1) * g); ++k)
+                                        dot += int64_t{a[r * kd + k]} *
+                                               b[k * n + j];
+                                    want += static_cast<float>(std::ldexp(
+                                        static_cast<double>(dot),
+                                        ea[r * chunks + c] + eb[c * n + j] -
+                                            2 * bm));
+                                }
+                                ASSERT_EQ(bits(got), bits(want))
+                                    << where << " r=" << r << " j=" << j;
+                                infinite += std::isinf(want);
+                                subnormal += std::fpclassify(want) ==
+                                             FP_SUBNORMAL;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(infinite, 0);
+    EXPECT_GT(subnormal, 0);
 }
 
 } // namespace
