@@ -1,7 +1,8 @@
 /**
  * @file
  * google-benchmark micro suites for the numeric kernels: RNS conversion,
- * modular GEMM, BFP encode + GEMM, and the functional photonic pipeline.
+ * modular GEMM, BFP encode + GEMM, the layer kernels around the GEMMs, and
+ * the functional photonic pipeline.
  * These measure the *simulator's* software throughput (useful when sizing
  * experiments), not the modeled hardware.
  */
@@ -10,6 +11,7 @@
 
 #include "bfp/bfp_gemm.h"
 #include "common/rng.h"
+#include "common/simd.h"
 #include "common/workspace.h"
 #include "nn/gemm_backend.h"
 #include "nn/layers_conv.h"
@@ -284,6 +286,78 @@ BM_ConvBackward(benchmark::State &state)
                             (8 * 16 * 16));
 }
 BENCHMARK(BM_ConvBackward);
+
+/**
+ * Row-major transpose (nn::transposeInto) at the small CNN's shapes at
+ * micro-batch 4: fc1's weight 64 x 256, transposed on every Dense forward,
+ * and the im2col matrices of conv2 (72 x 256) and conv1 (9 x 1024, rows
+ * off the 8 x 8 tile), transposed on every Conv2d backward.
+ */
+void
+BM_Transpose(benchmark::State &state)
+{
+    const int rows = static_cast<int>(state.range(0));
+    const int cols = static_cast<int>(state.range(1));
+    Rng rng(14);
+    std::vector<float> a(static_cast<size_t>(rows) * cols), t(a.size());
+    for (auto &v : a)
+        v = static_cast<float>(rng.gaussian());
+    for (auto _ : state) {
+        nn::transposeInto(a, rows, cols, t);
+        benchmark::DoNotOptimize(t.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * int64_t{rows} * cols);
+}
+BENCHMARK(BM_Transpose)->Args({64, 256})->Args({72, 256})->Args({9, 1024});
+
+/**
+ * Stride-1 convolution lowering at the small CNN's conv2 geometry: im2col
+ * of a [4, 8, 8, 8] input with a 3 x 3 kernel and padding 1 into its
+ * 72 x 256 column matrix, then col2im of that matrix onto a zeroed input
+ * gradient, one plane call per (sample, channel, tap) as Conv2d makes.
+ */
+void
+BM_ConvLowering(benchmark::State &state)
+{
+    constexpr int kBatch = 4, kCh = 8, kHw = 8, kTaps = 3, kPad = 1;
+    constexpr int kPlane = kHw * kHw, kCols = kBatch * kPlane;
+    Rng rng(15);
+    std::vector<float> x(static_cast<size_t>(kBatch) * kCh * kPlane);
+    std::vector<float> cols(static_cast<size_t>(kCh) * kTaps * kTaps * kCols);
+    std::vector<float> dx(x.size());
+    for (auto &v : x)
+        v = static_cast<float>(rng.gaussian());
+    // fn(input plane offset, column plane offset, dy, dx) for every plane.
+    const auto planes = [](auto &&fn) {
+        for (int b = 0; b < kBatch; ++b)
+            for (int c = 0; c < kCh; ++c)
+                for (int ky = 0; ky < kTaps; ++ky)
+                    for (int kx = 0; kx < kTaps; ++kx)
+                        fn(static_cast<size_t>(b * kCh + c) * kPlane,
+                           static_cast<size_t>((c * kTaps + ky) * kTaps + kx) *
+                                   kCols +
+                               static_cast<size_t>(b) * kPlane,
+                           ky - kPad, kx - kPad);
+    };
+    for (auto _ : state) {
+        planes([&](size_t in, size_t col, int oy, int ox) {
+            simd::im2colPlaneF32(x.data() + in, kHw, kHw, oy, ox, kHw, kHw,
+                                 cols.data() + col);
+        });
+        std::fill(dx.begin(), dx.end(), 0.0f);
+        planes([&](size_t in, size_t col, int oy, int ox) {
+            simd::col2imPlaneF32(cols.data() + col, kHw, kHw, oy, ox, kHw,
+                                 kHw, dx.data() + in);
+        });
+        benchmark::DoNotOptimize(dx.data());
+        benchmark::ClobberMemory();
+    }
+    // Column-matrix elements written by im2col, then read by col2im.
+    state.SetItemsProcessed(state.iterations() * 2 *
+                            static_cast<int64_t>(cols.size()));
+}
+BENCHMARK(BM_ConvLowering);
 
 void
 BM_PhotonicMvm(benchmark::State &state)

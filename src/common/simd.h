@@ -28,6 +28,11 @@
  *   conversion to double, an exact multiply by a power of two, one
  *   rounding to float and one FP32 add per chunk, in ascending chunk
  *   order.
+ * - The layer kernels around the GEMMs move floats without arithmetic
+ *   (transposeF32, im2colPlaneF32, whose padding lanes write +0.0f as the
+ *   reference does), or add one source element into each destination
+ *   element with one FP32 add (col2imPlaneF32), leaving every lane outside
+ *   the plane's bounds untouched.
  *
  * Bit-identity is what lets the vectorized kernels keep the determinism
  * contract of runtime::parallelFor (thread-count-invariant results) *and*
@@ -380,6 +385,61 @@ quantizeF32(const float *x, int64_t ldx, int rows, int w, const double *scale,
         }
     }
     return clipped;
+}
+
+/** Row-major transpose: out[c * rows + r] = a[r * cols + c] for the
+ *  rows x cols matrix a; out is cols x rows. */
+inline void
+transposeF32(const float *a, int rows, int cols, float *out)
+{
+    for (int r = 0; r < rows; ++r)
+        for (int c = 0; c < cols; ++c)
+            out[static_cast<size_t>(c) * rows + r] =
+                a[static_cast<size_t>(r) * cols + c];
+}
+
+/**
+ * One stride-1 im2col plane: for oy < out_h, ox < out_w,
+ * dst[oy out_w + ox] = x[iy w + ix] at (iy, ix) = (oy + dy, ox + dx) when
+ * that lies inside the h x w plane x, else +0.0f. A convolution with
+ * padding p fills the plane of kernel tap (ky, kx) with dy = ky - p,
+ * dx = kx - p.
+ */
+inline void
+im2colPlaneF32(const float *x, int h, int w, int dy, int dx, int out_h,
+               int out_w, float *dst)
+{
+    for (int oy = 0; oy < out_h; ++oy) {
+        const int iy = oy + dy;
+        for (int ox = 0; ox < out_w; ++ox) {
+            const int ix = ox + dx;
+            float v = 0.0f;
+            if (iy >= 0 && iy < h && ix >= 0 && ix < w)
+                v = x[static_cast<size_t>(iy) * w + ix];
+            dst[static_cast<size_t>(oy) * out_w + ox] = v;
+        }
+    }
+}
+
+/** Adjoint of im2colPlaneF32: x[iy w + ix] += src[oy out_w + ox] for
+ *  every (iy, ix) = (oy + dy, ox + dx) inside the plane, one FP32 add per
+ *  element; the rest of x is not touched. */
+inline void
+col2imPlaneF32(const float *src, int h, int w, int dy, int dx, int out_h,
+               int out_w, float *x)
+{
+    for (int oy = 0; oy < out_h; ++oy) {
+        const int iy = oy + dy;
+        if (iy < 0 || iy >= h)
+            continue;
+        for (int ox = 0; ox < out_w; ++ox) {
+            const int ix = ox + dx;
+            if (ix < 0 || ix >= w)
+                continue;
+            x[static_cast<size_t>(iy) * w + ix] +=
+                src[static_cast<size_t>(oy) * out_w + ox];
+        }
+    }
 }
 
 } // namespace scalar
@@ -1118,6 +1178,146 @@ quantizeF32(const float *x, int64_t ldx, int rows, int w, const double *scale,
     return 0;
 }
 
+/** The 8 x 8 tile at a (row stride lda) transposed into out (row stride
+ *  ldo): interleave row pairs, then quads, then swap 128-bit halves. */
+__attribute__((target("avx2"))) inline void
+transpose8x8F32(const float *a, int64_t lda, float *out, int64_t ldo)
+{
+    __m256 t[8];
+    for (int i = 0; i < 8; i += 2) {
+        const __m256 r0 = _mm256_loadu_ps(a + i * lda);
+        const __m256 r1 = _mm256_loadu_ps(a + (i + 1) * lda);
+        t[i] = _mm256_unpacklo_ps(r0, r1);
+        t[i + 1] = _mm256_unpackhi_ps(r0, r1);
+    }
+    // q[c] holds column c (low half) and column c + 4 (high half) of four
+    // rows: rows 0-3 in q[0..3], rows 4-7 in q[4..7].
+    __m256 q[8];
+    for (int i = 0; i < 8; i += 4) {
+        q[i] = _mm256_shuffle_ps(t[i], t[i + 2], _MM_SHUFFLE(1, 0, 1, 0));
+        q[i + 1] = _mm256_shuffle_ps(t[i], t[i + 2], _MM_SHUFFLE(3, 2, 3, 2));
+        q[i + 2] =
+            _mm256_shuffle_ps(t[i + 1], t[i + 3], _MM_SHUFFLE(1, 0, 1, 0));
+        q[i + 3] =
+            _mm256_shuffle_ps(t[i + 1], t[i + 3], _MM_SHUFFLE(3, 2, 3, 2));
+    }
+    for (int c = 0; c < 4; ++c) {
+        _mm256_storeu_ps(out + c * ldo,
+                         _mm256_permute2f128_ps(q[c], q[c + 4], 0x20));
+        _mm256_storeu_ps(out + (c + 4) * ldo,
+                         _mm256_permute2f128_ps(q[c], q[c + 4], 0x31));
+    }
+}
+
+/** 8 x 8 tiles; the last rows % 8 rows and cols % 8 columns move one
+ *  element at a time. */
+__attribute__((target("avx2"))) inline void
+transposeF32(const float *a, int rows, int cols, float *out)
+{
+    int r = 0;
+    for (; r + 8 <= rows; r += 8) {
+        const float *ar = a + static_cast<size_t>(r) * cols;
+        int c = 0;
+        for (; c + 8 <= cols; c += 8)
+            transpose8x8F32(ar + c, cols,
+                            out + static_cast<size_t>(c) * rows + r, rows);
+        for (; c < cols; ++c)
+            for (int i = 0; i < 8; ++i)
+                out[static_cast<size_t>(c) * rows + r + i] =
+                    ar[static_cast<size_t>(i) * cols + c];
+    }
+    for (; r < rows; ++r)
+        for (int c = 0; c < cols; ++c)
+            out[static_cast<size_t>(c) * rows + r] =
+                a[static_cast<size_t>(r) * cols + c];
+}
+
+/** Lanes l with lo <= base + l < hi, as an int32 mask. */
+__attribute__((target("avx2"))) inline __m256i
+spanMask(int base, int lo, int hi)
+{
+    const __m256i idx =
+        _mm256_add_epi32(_mm256_set1_epi32(base),
+                         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    return _mm256_andnot_si256(
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(lo), idx),
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(hi), idx));
+}
+
+/** Columns ix .. ix + 7 of the row s of width w, +0.0f where a column
+ *  lies outside [0, w). Only addresses inside the row are formed: a start
+ *  before the row loads from column 0 and moves the lanes up. */
+__attribute__((target("avx2"))) inline __m256
+rowLoad8(const float *s, int ix, int w)
+{
+    if (ix >= 0 && ix + 8 <= w)
+        return _mm256_loadu_ps(s + ix);
+    if (ix >= w || ix + 8 <= 0)
+        return _mm256_setzero_ps();
+    if (ix >= 0)
+        return _mm256_maskload_ps(s + ix, spanMask(ix, 0, w));
+    // Lane l takes lane ix + l of the head. A negative ix + l wraps to
+    // ix + l + 8 >= ix + 8, and ix + l >= w only where w < ix + 8: both
+    // are lanes the masked load left at +0.0f.
+    const __m256 head =
+        _mm256_maskload_ps(s, spanMask(0, 0, std::min(w, ix + 8)));
+    return _mm256_permutevar8x32_ps(
+        head, _mm256_add_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                               _mm256_set1_epi32(ix)));
+}
+
+/** Each source row shifted by dx, eight output columns per step; rows
+ *  outside the plane and columns outside the source row are +0.0f, and
+ *  only the last step of a row stores under a mask. */
+__attribute__((target("avx2"))) inline void
+im2colPlaneF32(const float *x, int h, int w, int dy, int dx, int out_h,
+               int out_w, float *dst)
+{
+    for (int oy = 0; oy < out_h; ++oy) {
+        float *d = dst + static_cast<size_t>(oy) * out_w;
+        const int iy = oy + dy;
+        const bool inside = iy >= 0 && iy < h;
+        const float *s = x + static_cast<size_t>(inside ? iy : 0) * w;
+        for (int ox = 0; ox < out_w; ox += 8) {
+            const __m256 v =
+                inside ? rowLoad8(s, ox + dx, w) : _mm256_setzero_ps();
+            if (ox + 8 <= out_w)
+                _mm256_storeu_ps(d + ox, v);
+            else
+                _mm256_maskstore_ps(d + ox, spanMask(ox, 0, out_w), v);
+        }
+    }
+}
+
+/** Each in-plane destination row gets the source row shifted by dx added
+ *  in, eight columns per step over the output columns [lo, hi) that land
+ *  inside it; the last step loads, adds and stores under a mask, so no
+ *  other lane is touched. */
+__attribute__((target("avx2"))) inline void
+col2imPlaneF32(const float *src, int h, int w, int dy, int dx, int out_h,
+               int out_w, float *x)
+{
+    const int lo = std::clamp(-dx, 0, out_w);
+    const int hi = std::clamp(w - dx, lo, out_w);
+    const int oy_end = std::min(out_h, h - dy);
+    for (int oy = std::max(0, -dy); oy < oy_end; ++oy) {
+        const float *s = src + static_cast<size_t>(oy) * out_w;
+        float *d = x + static_cast<size_t>(oy + dy) * w;
+        for (int ox = lo; ox < hi; ox += 8) {
+            float *dv = d + (ox + dx);
+            if (ox + 8 <= hi) {
+                _mm256_storeu_ps(dv, _mm256_add_ps(_mm256_loadu_ps(dv),
+                                                   _mm256_loadu_ps(s + ox)));
+                continue;
+            }
+            const __m256i m = spanMask(ox, 0, hi);
+            _mm256_maskstore_ps(dv, m,
+                                _mm256_add_ps(_mm256_maskload_ps(dv, m),
+                                              _mm256_maskload_ps(s + ox, m)));
+        }
+    }
+}
+
 } // namespace avx2
 
 #endif // MIRAGE_SIMD_AVX2
@@ -1361,6 +1561,26 @@ quantizeF32(const float *x, int64_t ldx, int rows, int w, const double *scale,
                                qmin, qmax, q, ldq);
 }
 
+inline void
+transposeF32(const float *a, int rows, int cols, float *out)
+{
+    scalar::transposeF32(a, rows, cols, out);
+}
+
+inline void
+im2colPlaneF32(const float *x, int h, int w, int dy, int dx, int out_h,
+               int out_w, float *dst)
+{
+    scalar::im2colPlaneF32(x, h, w, dy, dx, out_h, out_w, dst);
+}
+
+inline void
+col2imPlaneF32(const float *src, int h, int w, int dy, int dx, int out_h,
+               int out_w, float *x)
+{
+    scalar::col2imPlaneF32(src, h, w, dy, dx, out_h, out_w, x);
+}
+
 } // namespace neon
 
 #endif // MIRAGE_SIMD_NEON
@@ -1534,6 +1754,26 @@ quantizeF32(const float *x, int64_t ldx, int rows, int w, const double *scale,
 {
     MIRAGE_SIMD_DISPATCH(quantizeF32, x, ldx, rows, w, scale, column_scales,
                          mode, u, qmin, qmax, q, ldq);
+}
+
+inline void
+transposeF32(const float *a, int rows, int cols, float *out)
+{
+    MIRAGE_SIMD_DISPATCH(transposeF32, a, rows, cols, out);
+}
+
+inline void
+im2colPlaneF32(const float *x, int h, int w, int dy, int dx, int out_h,
+               int out_w, float *dst)
+{
+    MIRAGE_SIMD_DISPATCH(im2colPlaneF32, x, h, w, dy, dx, out_h, out_w, dst);
+}
+
+inline void
+col2imPlaneF32(const float *src, int h, int w, int dy, int dx, int out_h,
+               int out_w, float *x)
+{
+    MIRAGE_SIMD_DISPATCH(col2imPlaneF32, src, h, w, dy, dx, out_h, out_w, x);
 }
 
 #undef MIRAGE_SIMD_DISPATCH

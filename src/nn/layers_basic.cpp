@@ -103,12 +103,17 @@ Dense::params()
 Tensor
 ReLU::forward(const Tensor &x, bool /*training*/)
 {
-    mask_ = Tensor(x.shape());
+    // Every mask entry is rewritten, so a same-shape mask is reused.
+    if (mask_.shape() != x.shape())
+        mask_ = Tensor(x.shape());
     Tensor y(x.shape());
-    for (int64_t i = 0; i < x.size(); ++i) {
-        const bool on = x[i] > 0.0f;
-        mask_[i] = on ? 1.0f : 0.0f;
-        y[i] = on ? x[i] : 0.0f;
+    const float *__restrict xs = x.data();
+    float *__restrict ys = y.data();
+    float *__restrict ms = mask_.data();
+    for (int64_t i = 0, n = x.size(); i < n; ++i) {
+        const bool on = xs[i] > 0.0f;
+        ms[i] = on ? 1.0f : 0.0f;
+        ys[i] = on ? xs[i] : 0.0f;
     }
     return y;
 }
@@ -118,8 +123,11 @@ ReLU::backward(const Tensor &grad_out)
 {
     MIRAGE_ASSERT(grad_out.size() == mask_.size(), "ReLU backward mismatch");
     Tensor grad_in(grad_out.shape());
-    for (int64_t i = 0; i < grad_out.size(); ++i)
-        grad_in[i] = grad_out[i] * mask_[i];
+    const float *__restrict gs = grad_out.data();
+    const float *__restrict ms = mask_.data();
+    float *__restrict out = grad_in.data();
+    for (int64_t i = 0, n = grad_out.size(); i < n; ++i)
+        out[i] = gs[i] * ms[i];
     return grad_in;
 }
 
@@ -202,6 +210,8 @@ SequenceMeanPool::backward(const Tensor &grad_out)
 {
     const int batch = input_shape_[0], seq = input_shape_[1],
               dim = input_shape_[2];
+    MIRAGE_ASSERT(grad_out.size() == static_cast<int64_t>(batch) * dim,
+                  "SequenceMeanPool backward mismatch");
     Tensor grad_in(input_shape_);
     const float inv = 1.0f / static_cast<float>(seq);
     for (int b = 0; b < batch; ++b)

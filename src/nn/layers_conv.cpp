@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/logging.h"
+#include "common/simd.h"
 #include "common/workspace.h"
 #include "obs/fidelity.h"
 
@@ -14,7 +15,9 @@ namespace {
 
 /**
  * im2col: input [C, H, W] (one sample) into columns [C*k*k, P] appended at
- * column offset `col0` of a [K, total_cols] buffer.
+ * column offset `col0` of a [K, total_cols] buffer. Every entry of those
+ * columns is written, padding included. Stride 1 copies each (channel,
+ * tap) plane with one simd::im2colPlaneF32 call.
  */
 void
 im2colSample(const float *x, int ch, int h, int w, int kernel, int stride,
@@ -23,18 +26,25 @@ im2colSample(const float *x, int ch, int h, int w, int kernel, int stride,
 {
     const int k2 = kernel * kernel;
     for (int c = 0; c < ch; ++c) {
+        const float *plane = x + static_cast<size_t>(c) * h * w;
         for (int ky = 0; ky < kernel; ++ky) {
             for (int kx = 0; kx < kernel; ++kx) {
                 const int row = c * k2 + ky * kernel + kx;
+                float *dst =
+                    cols.data() + static_cast<size_t>(row) * total_cols + col0;
+                if (stride == 1) {
+                    simd::im2colPlaneF32(plane, h, w, ky - pad, kx - pad,
+                                         out_h, out_w, dst);
+                    continue;
+                }
                 for (int oy = 0; oy < out_h; ++oy) {
                     const int iy = oy * stride + ky - pad;
                     for (int ox = 0; ox < out_w; ++ox) {
                         const int ix = ox * stride + kx - pad;
                         float v = 0.0f;
                         if (iy >= 0 && iy < h && ix >= 0 && ix < w)
-                            v = x[(static_cast<size_t>(c) * h + iy) * w + ix];
-                        cols[static_cast<size_t>(row) * total_cols + col0 +
-                             oy * out_w + ox] = v;
+                            v = plane[static_cast<size_t>(iy) * w + ix];
+                        dst[oy * out_w + ox] = v;
                     }
                 }
             }
@@ -42,7 +52,11 @@ im2colSample(const float *x, int ch, int h, int w, int kernel, int stride,
     }
 }
 
-/** col2im scatter-add: the adjoint of im2colSample. */
+/**
+ * col2im scatter-add: the adjoint of im2colSample. Each input element
+ * takes its contributions in ascending (ky, kx) order, one add each, on
+ * the stride-1 simd::col2imPlaneF32 path as on the strided loop.
+ */
 void
 col2imSample(std::span<const float> cols, int ch, int h, int w, int kernel,
              int stride, int pad, int out_h, int out_w, float *dx,
@@ -50,9 +64,17 @@ col2imSample(std::span<const float> cols, int ch, int h, int w, int kernel,
 {
     const int k2 = kernel * kernel;
     for (int c = 0; c < ch; ++c) {
+        float *plane = dx + static_cast<size_t>(c) * h * w;
         for (int ky = 0; ky < kernel; ++ky) {
             for (int kx = 0; kx < kernel; ++kx) {
                 const int row = c * k2 + ky * kernel + kx;
+                const float *src =
+                    cols.data() + static_cast<size_t>(row) * total_cols + col0;
+                if (stride == 1) {
+                    simd::col2imPlaneF32(src, h, w, ky - pad, kx - pad, out_h,
+                                         out_w, plane);
+                    continue;
+                }
                 for (int oy = 0; oy < out_h; ++oy) {
                     const int iy = oy * stride + ky - pad;
                     if (iy < 0 || iy >= h)
@@ -61,9 +83,8 @@ col2imSample(std::span<const float> cols, int ch, int h, int w, int kernel,
                         const int ix = ox * stride + kx - pad;
                         if (ix < 0 || ix >= w)
                             continue;
-                        dx[(static_cast<size_t>(c) * h + iy) * w + ix] +=
-                            cols[static_cast<size_t>(row) * total_cols + col0 +
-                                 oy * out_w + ox];
+                        plane[static_cast<size_t>(iy) * w + ix] +=
+                            src[oy * out_w + ox];
                     }
                 }
             }
@@ -116,9 +137,10 @@ Conv2d::forward(const Tensor &x, bool /*training*/)
     const int p = out_h_ * out_w_;
     const int total_cols = cached_batch_ * p;
     // The im2col matrix is a member so (a) backward reuses it and (b) its
-    // capacity survives across steps — assign() only reallocates when the
-    // shape grows, so steady-state training re-fills the same buffer.
-    cached_cols_.assign(static_cast<size_t>(k_dim) * total_cols, 0.0f);
+    // capacity survives across steps — resize() only reallocates when the
+    // shape grows, and im2colSample writes every entry, so steady-state
+    // training re-fills the same buffer without clearing it first.
+    cached_cols_.resize(static_cast<size_t>(k_dim) * total_cols);
     const int64_t sample_sz =
         static_cast<int64_t>(in_ch_) * cached_h_ * cached_w_;
     for (int b = 0; b < cached_batch_; ++b) {
@@ -234,28 +256,29 @@ MaxPool2d::forward(const Tensor &x, bool /*training*/)
                   x.shapeString());
     const int oh = h / 2, ow = w / 2;
     Tensor y({batch, ch, oh, ow});
-    argmax_.assign(static_cast<size_t>(y.size()), 0);
-    for (int b = 0; b < batch; ++b) {
-        for (int c = 0; c < ch; ++c) {
-            const int64_t plane = (static_cast<int64_t>(b) * ch + c);
-            for (int oy = 0; oy < oh; ++oy) {
-                for (int ox = 0; ox < ow; ++ox) {
-                    float best = -std::numeric_limits<float>::infinity();
-                    int64_t best_idx = 0;
-                    for (int dy = 0; dy < 2; ++dy) {
-                        for (int dx = 0; dx < 2; ++dx) {
-                            const int64_t idx =
-                                (plane * h + (2 * oy + dy)) * w + 2 * ox + dx;
-                            if (x[idx] > best) {
-                                best = x[idx];
-                                best_idx = idx;
-                            }
-                        }
-                    }
-                    const int64_t out_idx = (plane * oh + oy) * ow + ox;
-                    y[out_idx] = best;
-                    argmax_[static_cast<size_t>(out_idx)] = best_idx;
+    argmax_.resize(static_cast<size_t>(y.size()));
+    const float *xs = x.data();
+    float *ys = y.data();
+    int64_t *am = argmax_.data();
+    for (int64_t plane = 0; plane < int64_t{batch} * ch; ++plane) {
+        for (int oy = 0; oy < oh; ++oy) {
+            const int64_t in_row = (plane * h + 2 * oy) * w;
+            const int64_t out_row = (plane * oh + oy) * ow;
+            for (int ox = 0; ox < ow; ++ox) {
+                // The window's four candidates in row-major order, each
+                // taken on a strict > by select and mask, not branch: ties
+                // keep the earlier one, NaN never wins, and a window with
+                // no value above -inf keeps index 0.
+                const int64_t i = in_row + 2 * ox;
+                float best = -std::numeric_limits<float>::infinity();
+                int64_t at = 0;
+                for (const int64_t j : {i, i + 1, i + w, i + w + 1}) {
+                    const int64_t take = -int64_t{xs[j] > best};
+                    best = xs[j] > best ? xs[j] : best;
+                    at = (j & take) | (at & ~take);
                 }
+                ys[out_row + ox] = best;
+                am[out_row + ox] = at;
             }
         }
     }
@@ -265,6 +288,8 @@ MaxPool2d::forward(const Tensor &x, bool /*training*/)
 Tensor
 MaxPool2d::backward(const Tensor &grad_out)
 {
+    MIRAGE_ASSERT(grad_out.size() == static_cast<int64_t>(argmax_.size()),
+                  "MaxPool2d backward mismatch");
     Tensor grad_in(input_shape_);
     for (int64_t i = 0; i < grad_out.size(); ++i)
         grad_in[argmax_[static_cast<size_t>(i)]] += grad_out[i];
@@ -295,8 +320,10 @@ GlobalAvgPool::forward(const Tensor &x, bool /*training*/)
 Tensor
 GlobalAvgPool::backward(const Tensor &grad_out)
 {
-    Tensor grad_in(input_shape_);
     const int batch = input_shape_[0], ch = input_shape_[1];
+    MIRAGE_ASSERT(grad_out.size() == static_cast<int64_t>(batch) * ch,
+                  "GlobalAvgPool backward mismatch");
+    Tensor grad_in(input_shape_);
     const int64_t hw =
         static_cast<int64_t>(input_shape_[2]) * input_shape_[3];
     const float inv = 1.0f / static_cast<float>(hw);

@@ -23,18 +23,26 @@ Sgd::Sgd(float lr, float momentum, float weight_decay)
 void
 Sgd::step(const std::vector<Param *> &params)
 {
+    // Locals and restrict pointers: the weight stores can alias neither
+    // the hyperparameters nor the gradient, so the loops vectorize. Each
+    // term keeps one multiply and one add, in the reference's order.
+    const float lr = lr_, momentum = momentum_, decay = weight_decay_;
     for (Param *p : params) {
+        const int64_t n = p->value.size();
+        float *__restrict w = p->value.data();
+        const float *__restrict grad = p->grad.data();
+        if (momentum == 0.0f) {
+            for (int64_t i = 0; i < n; ++i)
+                w[i] -= lr * (grad[i] + decay * w[i]);
+            continue;
+        }
         auto &vel = velocity_[p];
-        if (momentum_ != 0.0f && vel.empty())
-            vel.assign(static_cast<size_t>(p->value.size()), 0.0f);
-        for (int64_t i = 0; i < p->value.size(); ++i) {
-            float g = p->grad[i] + weight_decay_ * p->value[i];
-            if (momentum_ != 0.0f) {
-                vel[static_cast<size_t>(i)] =
-                    momentum_ * vel[static_cast<size_t>(i)] + g;
-                g = vel[static_cast<size_t>(i)];
-            }
-            p->value[i] -= lr_ * g;
+        if (vel.empty())
+            vel.assign(static_cast<size_t>(n), 0.0f);
+        float *__restrict v = vel.data();
+        for (int64_t i = 0; i < n; ++i) {
+            v[i] = momentum * v[i] + (grad[i] + decay * w[i]);
+            w[i] -= lr * v[i];
         }
     }
 }

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/logging.h"
+#include "common/simd.h"
 
 namespace mirage {
 namespace nn {
@@ -104,10 +105,7 @@ transposeInto(std::span<const float> a, int rows, int cols,
     MIRAGE_ASSERT(a.size() == static_cast<size_t>(rows) * cols,
                   "transpose shape mismatch");
     MIRAGE_ASSERT(out.size() == a.size(), "transpose output size mismatch");
-    for (int r = 0; r < rows; ++r)
-        for (int c = 0; c < cols; ++c)
-            out[static_cast<size_t>(c) * rows + r] =
-                a[static_cast<size_t>(r) * cols + c];
+    simd::transposeF32(a.data(), rows, cols, out.data());
 }
 
 } // namespace nn

@@ -11,8 +11,9 @@
  * On hosts without AVX2/NEON the wrappers dispatch to the scalar reference
  * and these tests pass trivially; on vector hardware they pin the real
  * vector bodies, including ragged column tails, the FP32/integer panels'
- * per-row zero skip, and the fused BFP panel's ragged chunks, masked
- * column tail and int32 lanes at their bound.
+ * per-row zero skip, the fused BFP panel's ragged chunks, masked column
+ * tail and int32 lanes at their bound, and the layer kernels' edge tiles
+ * and masked row shifts.
  */
 
 #include <gtest/gtest.h>
@@ -392,6 +393,94 @@ TEST_F(SimdTest, FusedBfpPanelMatchesScalarReference)
     }
     EXPECT_GT(infinite, 0);
     EXPECT_GT(subnormal, 0);
+}
+
+TEST_F(SimdTest, TransposeMatchesScalarReference)
+{
+    // Random bit patterns (NaN payloads, subnormals, -0 included) must
+    // move unchanged through the 8 x 8 tiles and the edge loops.
+    const auto anyBits = [&](size_t n) {
+        std::vector<float> v(n);
+        for (auto &x : v)
+            x = std::bit_cast<float>(
+                static_cast<uint32_t>(rng.uniformReal() * 4294967296.0));
+        return v;
+    };
+    std::vector<std::pair<int, int>> shapes = {{9, 1024}, {72, 256}};
+    for (int rows : {1, 7, 8, 9, 16, 17, 64, 72, 256})
+        for (int cols : {1, 7, 8, 9, 16, 17, 64, 72, 256})
+            shapes.emplace_back(rows, cols);
+    for (const auto &[rows, cols] : shapes) {
+        const auto a = anyBits(static_cast<size_t>(rows) * cols);
+        std::vector<float> out_vec(a.size()), out_ref(a.size());
+        simd::transposeF32(a.data(), rows, cols, out_vec.data());
+        simd::scalar::transposeF32(a.data(), rows, cols, out_ref.data());
+        ASSERT_TRUE(sameBytes(out_vec, out_ref))
+            << "rows=" << rows << " cols=" << cols;
+    }
+}
+
+TEST_F(SimdTest, Im2colPlanesMatchScalarReference)
+{
+    // Every offset a kernel of up to 5 taps with padding up to 2 uses,
+    // planes of 1..17 rows and columns, and output extents equal to the
+    // plane's or two rows fewer and two columns more (or the reverse), so
+    // output rows end off the 8-lane step and row shifts leave the plane
+    // on either side. Operands are sized exactly, so a sanitizer build
+    // catches a lane that reads or writes outside the plane. im2col
+    // destinations start as sentinels that every entry must overwrite;
+    // col2im adds into sentinel-filled planes whose entries outside the
+    // shifted window must keep their sentinel.
+    constexpr float kSentinel = -12345.5f;
+    const auto values = [&](size_t n) {
+        std::vector<float> v = floats(n);
+        for (auto &x : v)
+            if (rng.uniformReal() < 0.05)
+                x = std::numeric_limits<float>::quiet_NaN();
+        return v;
+    };
+    for (int h = 1; h <= 17; ++h) {
+        for (int w = 1; w <= 17; ++w) {
+            const auto x = values(static_cast<size_t>(h) * w);
+            for (const auto &[out_h, out_w] :
+                 {std::pair{h, w}, {h - 2, w + 2}, {h + 2, w - 2}}) {
+                if (out_h < 1 || out_w < 1)
+                    continue;
+                const auto src = values(static_cast<size_t>(out_h) * out_w);
+                std::vector<float> cols_vec(src.size()), cols_ref(src.size());
+                std::vector<float> x_vec(x.size()), x_ref(x.size());
+                for (int dy = -2; dy <= 2; ++dy) {
+                    for (int dx = -2; dx <= 2; ++dx) {
+                        const auto where = [&] {
+                            return "h=" + std::to_string(h) +
+                                   " w=" + std::to_string(w) +
+                                   " out=" + std::to_string(out_h) + "x" +
+                                   std::to_string(out_w) +
+                                   " dy=" + std::to_string(dy) +
+                                   " dx=" + std::to_string(dx);
+                        };
+                        std::fill(cols_vec.begin(), cols_vec.end(), kSentinel);
+                        std::fill(cols_ref.begin(), cols_ref.end(), kSentinel);
+                        simd::im2colPlaneF32(x.data(), h, w, dy, dx, out_h,
+                                             out_w, cols_vec.data());
+                        simd::scalar::im2colPlaneF32(x.data(), h, w, dy, dx,
+                                                     out_h, out_w,
+                                                     cols_ref.data());
+                        ASSERT_TRUE(sameBytes(cols_vec, cols_ref)) << where();
+
+                        std::fill(x_vec.begin(), x_vec.end(), kSentinel);
+                        std::fill(x_ref.begin(), x_ref.end(), kSentinel);
+                        simd::col2imPlaneF32(src.data(), h, w, dy, dx, out_h,
+                                             out_w, x_vec.data());
+                        simd::scalar::col2imPlaneF32(src.data(), h, w, dy, dx,
+                                                     out_h, out_w,
+                                                     x_ref.data());
+                        ASSERT_TRUE(sameBytes(x_vec, x_ref)) << where();
+                    }
+                }
+            }
+        }
+    }
 }
 
 } // namespace
