@@ -99,7 +99,9 @@ BENCHMARK(BM_BfpEncode);
  * 9 x 1024 is conv1's im2col matrix and 72 x 256 conv2's at micro-batch 4
  * (bench/train_soak's small CNN). BM_BfpEncodeRows groups each row along
  * its c values, the A side of a GEMM; BM_BfpEncodeCols groups each column
- * along its r values into K-major panels, the B side.
+ * along its r values into K-major panels, the B side. Rows 64 x 4 are fc1
+ * dW's A, one short group per row, so the per-row cost dominates; columns
+ * 1024 x 9 are conv1 dW's B, whose ninth column is a one-column tail.
  */
 template <bool Columns>
 void
@@ -134,14 +136,17 @@ BM_BfpEncodeRows(benchmark::State &state)
 {
     runBfpEncodePacked<false>(state);
 }
-BENCHMARK(BM_BfpEncodeRows)->Args({9, 1024})->Args({72, 256});
+BENCHMARK(BM_BfpEncodeRows)->Args({9, 1024})->Args({72, 256})->Args({64, 4});
 
 void
 BM_BfpEncodeCols(benchmark::State &state)
 {
     runBfpEncodePacked<true>(state);
 }
-BENCHMARK(BM_BfpEncodeCols)->Args({9, 1024})->Args({72, 256});
+BENCHMARK(BM_BfpEncodeCols)
+    ->Args({9, 1024})
+    ->Args({72, 256})
+    ->Args({1024, 9});
 
 /** n^3 BFP(4, 16) GEMM through the span API, optionally over a moduli set
  *  (under Eq. 13 both run the same integer-dot kernel). */
@@ -184,8 +189,10 @@ BENCHMARK(BM_BfpGemm)->Arg(32)->Arg(64)->Arg(128);
 /**
  * BFP(4, 16) GEMM of one M x K x N training shape of bench/train_soak's
  * small CNN at micro-batch 4: conv1 dW 8 x 1024 x 9 (N off the kernel's
- * 8-column step), fc1 dW 64 x 4 x 256 (K = 4, shorter than one group) and
- * conv2 forward 16 x 72 x 256 (a ragged last chunk).
+ * 8-column step), fc1 dW 64 x 4 x 256 (K = 4, shorter than one group),
+ * conv2 forward 16 x 72 x 256 (a ragged last chunk) and conv1 dX
+ * 9 x 8 x 1024 (a one-row last panel; one chunk per output, so the FP32
+ * epilogue weighs as much as the dots).
  */
 void
 BM_BfpGemmTrain(benchmark::State &state, int m, int k, int n)
@@ -209,6 +216,7 @@ BM_BfpGemmTrain(benchmark::State &state, int m, int k, int n)
 BENCHMARK_CAPTURE(BM_BfpGemmTrain, conv1_dW, 8, 1024, 9);
 BENCHMARK_CAPTURE(BM_BfpGemmTrain, fc1_dW, 64, 4, 256);
 BENCHMARK_CAPTURE(BM_BfpGemmTrain, conv2_fwd, 16, 72, 256);
+BENCHMARK_CAPTURE(BM_BfpGemmTrain, conv1_dX, 9, 8, 1024);
 
 void
 BM_Fp32Gemm(benchmark::State &state)

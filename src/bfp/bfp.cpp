@@ -1,8 +1,8 @@
 #include "bfp/bfp.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
+#include <type_traits>
 
 #include "common/logging.h"
 #include "common/math_util.h"
@@ -68,23 +68,13 @@ quantRound(Rounding mode)
     MIRAGE_PANIC("unknown rounding mode");
 }
 
-/**
- * Shared exponent of a group from its largest magnitude bits
- * (simd::maxAbsBitsF32): the frexp exponent e, 2^(e-1) <= |v| < 2^e, of
- * the largest |v|, or 0 for an all-zero group. Normal floats carry it in
- * their biased exponent field; a subnormal is bits * 2^-149, so its
- * exponent follows from the bit width.
- */
-int
-groupExponent(uint32_t max_bits)
+/** Fatal when the largest magnitude bits of the encoded groups,
+ *  `max_bits`, come from an Inf or NaN. */
+void
+requireFinite(uint32_t max_bits)
 {
     if (max_bits >= simd::kNonFiniteAbsBits)
         MIRAGE_FATAL("non-finite value in BFP group");
-    if (max_bits == 0)
-        return 0;
-    const int biased = static_cast<int>(max_bits >> 23);
-    return biased != 0 ? biased - 126
-                       : static_cast<int>(std::bit_width(max_bits)) - 149;
 }
 
 /**
@@ -107,10 +97,105 @@ drawUniforms(Rng *rng, int len, double *u, size_t stride)
         u[static_cast<size_t>(t) * stride] = rng->uniformReal();
 }
 
+/** Notes the `count` shared exponents at e in `tally`. */
+void
+noteExponents(const int32_t *e, int count,
+              obs::fidelity::BfpGroupTally &tally)
+{
+    for (int i = 0; i < count; ++i)
+        tally.note(e[i]);
+}
+
 /**
- * encodeColumnsInto over columns [j0, j0 + w): one vector pass for the
- * column maxima of each chunk, one for its mantissas. `streams` holds
- * column j0 + i's stochastic stream at [i], or is null.
+ * Stochastic encodeRowInto: the group exponents first, then one uniform
+ * per element of every non-zero group drawn in order, then the double
+ * quantizer with one scale per group.
+ */
+void
+encodeRowStochastic(std::span<const float> values, const BfpConfig &cfg,
+                    int32_t *mantissas, int32_t *exponents, Rng *rng,
+                    obs::fidelity::BfpGroupTally &tally)
+{
+    const int n = static_cast<int>(values.size());
+    const int groups = static_cast<int>(ceilDiv(n, cfg.g));
+    Workspace &ws = threadWorkspace();
+    Workspace::Scope scope(ws);
+    std::span<double> scale = ws.alloc<double>(static_cast<size_t>(groups));
+    std::span<double> u = ws.alloc<double>(values.size());
+    for (int c = 0; c < groups; ++c) {
+        const int start = c * cfg.g;
+        const int len = std::min(cfg.g, n - start);
+        const uint32_t max_bits = simd::maxAbsBitsF32(&values[start], len);
+        requireFinite(max_bits);
+        const int e = simd::groupExponent(max_bits);
+        exponents[c] = e;
+        scale[c] = mantissaScale(cfg, e);
+        if (max_bits != 0)
+            drawUniforms(rng, len, &u[start], 1);
+        else
+            std::fill_n(&u[start], len, 0.0);
+    }
+    noteExponents(exponents, groups, tally);
+    // Whole groups quantize as a groups x g block with one scale per row,
+    // a ragged last group as one more row. The (bm+1)-bit two's-complement
+    // range is [-2^bm, 2^bm - 1].
+    const int whole = n / cfg.g;
+    const int tail = n - whole * cfg.g;
+    const int32_t qmin = -(1 << cfg.bm), qmax = (1 << cfg.bm) - 1;
+    int64_t clipped = simd::quantizeStochasticF32(
+        values.data(), cfg.g, whole, cfg.g, scale.data(), false, u.data(),
+        qmin, qmax, mantissas, cfg.g);
+    if (tail > 0)
+        clipped += simd::quantizeStochasticF32(
+            values.data() + n - tail, tail, 1, tail, scale.data() + whole,
+            false, u.data() + n - tail, qmin, qmax, mantissas + n - tail,
+            tail);
+    tally.addClipped(static_cast<uint64_t>(clipped));
+}
+
+/** encodeRowInto for either mantissa width. */
+template <typename Q>
+void
+encodeRow(std::span<const float> values, const BfpConfig &cfg,
+          std::span<Q> mantissas, std::span<int32_t> exponents, Rng *rng,
+          obs::fidelity::BfpGroupTally &tally)
+{
+    cfg.validate();
+    const int n = static_cast<int>(values.size());
+    const int groups = static_cast<int>(ceilDiv(n, cfg.g));
+    MIRAGE_ASSERT(mantissas.size() >= values.size(),
+                  "mantissa buffer too small");
+    MIRAGE_ASSERT(exponents.size() >= static_cast<size_t>(groups),
+                  "exponent buffer too small");
+    const simd::QuantRound mode = quantRound(cfg.rounding);
+    if (mode != simd::QuantRound::Stochastic) {
+        const simd::GroupEncodeStats st = simd::encodeRowF32(
+            values.data(), n, cfg.g, cfg.bm, mode, mantissas.data(),
+            exponents.data());
+        requireFinite(st.max_bits);
+        noteExponents(exponents.data(), groups, tally);
+        tally.addClipped(static_cast<uint64_t>(st.clipped));
+        return;
+    }
+    if constexpr (std::is_same_v<Q, int32_t>) {
+        encodeRowStochastic(values, cfg, mantissas.data(), exponents.data(),
+                            rng, tally);
+    } else {
+        Workspace &ws = threadWorkspace();
+        Workspace::Scope scope(ws);
+        std::span<int32_t> wide = ws.alloc<int32_t>(values.size());
+        encodeRowStochastic(values, cfg, wide.data(), exponents.data(), rng,
+                            tally);
+        std::copy(wide.begin(), wide.end(), mantissas.begin());
+    }
+}
+
+/**
+ * encodeColumnsInto over columns [j0, j0 + w). Floor and half-away
+ * rounding run the one-pass column encoder. Stochastic rounding takes one
+ * vector pass for the column maxima of each chunk and one for its
+ * mantissas; `streams` holds column j0 + i's stochastic stream at [i], or
+ * is null.
  */
 void
 encodeColumnBlock(std::span<const float> b, int k_depth, int n_cols, int j0,
@@ -119,39 +204,46 @@ encodeColumnBlock(std::span<const float> b, int k_depth, int n_cols, int j0,
                   obs::fidelity::BfpGroupTally &tally)
 {
     const simd::QuantRound mode = quantRound(cfg.rounding);
-    const bool stochastic = mode == simd::QuantRound::Stochastic;
     const size_t n = static_cast<size_t>(n_cols);
+    const int chunks = static_cast<int>(ceilDiv(k_depth, cfg.g));
+    // Rows k_depth..chunks*g-1 of the last chunk are padding.
+    for (int k = k_depth; k < chunks * cfg.g; ++k)
+        std::fill_n(&mantissas[k * n + j0], w, 0);
+    if (mode != simd::QuantRound::Stochastic) {
+        const simd::GroupEncodeStats st = simd::encodeColsF32(
+            b.data() + j0, n_cols, k_depth, cfg.g, w, cfg.bm, mode,
+            mantissas.data() + j0, n_cols, exponents.data() + j0, n_cols);
+        requireFinite(st.max_bits);
+        for (int c = 0; c < chunks; ++c)
+            noteExponents(&exponents[c * n + j0], w, tally);
+        tally.addClipped(static_cast<uint64_t>(st.clipped));
+        return;
+    }
     Workspace &ws = threadWorkspace();
     Workspace::Scope scope(ws);
     std::span<uint32_t> max_bits = ws.alloc<uint32_t>(w);
     std::span<double> scale = ws.alloc<double>(w);
-    std::span<double> u = stochastic
-                              ? ws.alloc<double>(static_cast<size_t>(cfg.g) * w)
-                              : std::span<double>();
+    std::span<double> u = ws.alloc<double>(static_cast<size_t>(cfg.g) * w);
     int64_t clipped = 0;
     for (int start = 0, c = 0; start < k_depth; start += cfg.g, ++c) {
         const int len = std::min(cfg.g, k_depth - start);
         const float *src = &b[start * n + j0];
-        int32_t *dst = &mantissas[start * n + j0];
         simd::maxAbsBitsColsF32(src, n_cols, len, w, max_bits.data());
         for (int i = 0; i < w; ++i) {
-            const int e = groupExponent(max_bits[i]);
+            requireFinite(max_bits[i]);
+            const int e = simd::groupExponent(max_bits[i]);
             exponents[c * n + j0 + i] = e;
             tally.note(e);
             scale[i] = mantissaScale(cfg, e);
-            if (!stochastic)
-                continue;
             if (max_bits[i] != 0)
                 drawUniforms(streams ? &*streams[i] : nullptr, len, &u[i], w);
             else
                 for (int t = 0; t < len; ++t)
                     u[static_cast<size_t>(t) * w + i] = 0.0;
         }
-        clipped += simd::quantizeF32(src, n_cols, len, w, scale.data(), true,
-                                     mode, u.data(), -(1 << cfg.bm),
-                                     (1 << cfg.bm) - 1, dst, n_cols);
-        for (int t = len; t < cfg.g; ++t)
-            std::fill_n(dst + t * n, w, 0);
+        clipped += simd::quantizeStochasticF32(
+            src, n_cols, len, w, scale.data(), true, u.data(), -(1 << cfg.bm),
+            (1 << cfg.bm) - 1, &mantissas[start * n + j0], n_cols);
     }
     tally.addClipped(static_cast<uint64_t>(clipped));
 }
@@ -163,50 +255,15 @@ encodeRowInto(std::span<const float> values, const BfpConfig &cfg,
               std::span<int32_t> mantissas, std::span<int32_t> exponents,
               Rng *rng, obs::fidelity::BfpGroupTally &tally)
 {
-    cfg.validate();
-    const int n = static_cast<int>(values.size());
-    const int groups = static_cast<int>(ceilDiv(n, cfg.g));
-    MIRAGE_ASSERT(mantissas.size() >= values.size(),
-                  "mantissa buffer too small");
-    MIRAGE_ASSERT(exponents.size() >= static_cast<size_t>(groups),
-                  "exponent buffer too small");
-    const simd::QuantRound mode = quantRound(cfg.rounding);
-    const bool stochastic = mode == simd::QuantRound::Stochastic;
-    Workspace &ws = threadWorkspace();
-    Workspace::Scope scope(ws);
-    std::span<double> scale = ws.alloc<double>(static_cast<size_t>(groups));
-    std::span<double> u =
-        stochastic ? ws.alloc<double>(values.size()) : std::span<double>();
-    for (int c = 0; c < groups; ++c) {
-        const int start = c * cfg.g;
-        const int len = std::min(cfg.g, n - start);
-        const uint32_t max_bits = simd::maxAbsBitsF32(&values[start], len);
-        const int e = groupExponent(max_bits);
-        exponents[c] = e;
-        tally.note(e);
-        scale[c] = mantissaScale(cfg, e);
-        if (stochastic) {
-            if (max_bits != 0)
-                drawUniforms(rng, len, &u[start], 1);
-            else
-                std::fill_n(&u[start], len, 0.0);
-        }
-    }
-    // Whole groups quantize as a groups x g block with one scale per row,
-    // a ragged last group as one more row. The (bm+1)-bit two's-complement
-    // range is [-2^bm, 2^bm - 1].
-    const int whole = n / cfg.g;
-    const int tail = n - whole * cfg.g;
-    const int32_t qmin = -(1 << cfg.bm), qmax = (1 << cfg.bm) - 1;
-    int64_t clipped = simd::quantizeF32(
-        values.data(), cfg.g, whole, cfg.g, scale.data(), false, mode,
-        u.data(), qmin, qmax, mantissas.data(), cfg.g);
-    if (tail > 0)
-        clipped += simd::quantizeF32(
-            values.data() + n - tail, tail, 1, tail, scale.data() + whole,
-            false, mode, stochastic ? u.data() + n - tail : nullptr, qmin,
-            qmax, mantissas.data() + n - tail, tail);
-    tally.addClipped(static_cast<uint64_t>(clipped));
+    encodeRow(values, cfg, mantissas, exponents, rng, tally);
+}
+
+void
+encodeRowInto(std::span<const float> values, const BfpConfig &cfg,
+              std::span<int16_t> mantissas, std::span<int32_t> exponents,
+              Rng *rng, obs::fidelity::BfpGroupTally &tally)
+{
+    encodeRow(values, cfg, mantissas, exponents, rng, tally);
 }
 
 void

@@ -84,11 +84,22 @@ BfpBlock encodeBlock(std::span<const float> values, const BfpConfig &cfg,
  * owns any padding) and one shared exponent per group, and notes each
  * group in `tally`. A group's shared exponent is the frexp exponent of its
  * largest magnitude, 0 for an all-zero group; a non-finite value is fatal.
+ *
+ * Truncate and Nearest rounding make one simd::encodeRowF32 call per
+ * row: each mantissa is an integer shift of the float's significand,
+ * which equals rounding value * 2^(bm - e), an exact product, in double.
  * Stochastic rounding draws one uniform per element of every non-zero
- * group from `rng`, in order. Scratch comes from threadWorkspace().
+ * group from `rng`, in order, and rounds in double; scratch comes from
+ * threadWorkspace().
  */
 void encodeRowInto(std::span<const float> values, const BfpConfig &cfg,
                    std::span<int32_t> mantissas, std::span<int32_t> exponents,
+                   Rng *rng, obs::fidelity::BfpGroupTally &tally);
+
+/** encodeRowInto writing int16 mantissas (|mantissa| <= 2^bm <= 2^15),
+ *  the A panel layout of bfpGemm's fused kernel. */
+void encodeRowInto(std::span<const float> values, const BfpConfig &cfg,
+                   std::span<int16_t> mantissas, std::span<int32_t> exponents,
                    Rng *rng, obs::fidelity::BfpGroupTally &tally);
 
 /**
@@ -96,9 +107,11 @@ void encodeRowInto(std::span<const float> values, const BfpConfig &cfg,
  * n_cols row-major matrix `b`, each grouped along K in chunks of cfg.g.
  * Writes the K-major layout: mantissa (k, j) at mantissas[k * n_cols + j],
  * with rows k_depth..chunks*g-1 of the last chunk zero-filled, and the
- * exponent of (chunk c, column j) at exponents[c * n_cols + j]. Stochastic
+ * exponent of (chunk c, column j) at exponents[c * n_cols + j]. Truncate
+ * and Nearest rounding make one simd::encodeColsF32 call, eight columns
+ * per step and the last (j1 - j0) % 8 under a mask. Stochastic
  * rounding needs `stream_base` and draws column j's uniforms from
- * Rng::stream(*stream_base, j), chunk by chunk. Scratch comes from
+ * Rng::stream(*stream_base, j), chunk by chunk; scratch comes from
  * threadWorkspace().
  */
 void encodeColumnsInto(std::span<const float> b, int k_depth, int n_cols,

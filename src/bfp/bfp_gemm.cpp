@@ -24,14 +24,6 @@ namespace {
 constexpr int64_t kEncodeGrain = 8;
 constexpr int64_t kEncodeColGrain = 64;
 constexpr int64_t kComputeGrain = 4;
-/// Serial-below cutoffs. Encoding costs about a nanosecond per element and
-/// the fused compute loop about a tenth of one per MAC (AVX2, 4-vCPU
-/// Xeon); below these counts the work takes microseconds and finishes
-/// faster than the workers wake. (They were 4096/16384 — low enough that
-/// tiny layers paid dispatch overhead for microseconds of work, a
-/// measurable part of the historical multi-thread slowdown.)
-constexpr int64_t kMinEncodeWork = 16384;
-constexpr int64_t kMinComputeWork = 65536;
 
 /// Output rows of one fused panel (simd::bfpPanel4).
 constexpr int kPanelRows = 4;
@@ -46,24 +38,13 @@ streamBase(const BfpConfig &cfg, Rng *rng)
     return rng->nextU64();
 }
 
-/** Encodes row i of the m x k matrix `a` with its stochastic substream into
- *  `mantissas`, zero-filling it past K to whole chunks. */
-void
-encodeRow(std::span<const float> a, int k_depth, int64_t i,
-          const BfpConfig &cfg, std::optional<uint64_t> stream_base,
-          int32_t *mantissas, int32_t *exponents,
-          obs::fidelity::BfpGroupTally &tally)
+/** Row i's stochastic-rounding substream, when the operand has a base. */
+std::optional<Rng>
+rowStream(std::optional<uint64_t> stream_base, int64_t i)
 {
-    std::optional<Rng> row_rng;
-    if (stream_base)
-        row_rng.emplace(Rng::stream(*stream_base, static_cast<uint64_t>(i)));
-    const int chunks = static_cast<int>(ceilDiv(k_depth, cfg.g));
-    encodeRowInto(a.subspan(static_cast<size_t>(i) * k_depth,
-                            static_cast<size_t>(k_depth)),
-                  cfg, {mantissas, static_cast<size_t>(k_depth)},
-                  {exponents, static_cast<size_t>(chunks)},
-                  row_rng ? &*row_rng : nullptr, tally);
-    std::fill(mantissas + k_depth, mantissas + chunks * cfg.g, 0);
+    if (!stream_base)
+        return std::nullopt;
+    return Rng::stream(*stream_base, static_cast<uint64_t>(i));
 }
 
 } // namespace
@@ -90,9 +71,16 @@ encodeRowsPacked(std::span<const float> a, int m_rows, int k_depth,
                              kMinEncodeWork),
         [&](int64_t r0, int64_t r1) {
             obs::fidelity::BfpGroupTally tally;
-            for (int64_t i = r0; i < r1; ++i)
-                encodeRow(a, k_depth, i, cfg, base, &out.mantissas[i * lda],
-                          &out.exponents[i * out.chunk_count], tally);
+            for (int64_t i = r0; i < r1; ++i) {
+                std::optional<Rng> stream = rowStream(base, i);
+                std::span<int32_t> row = out.mantissas.subspan(i * lda, lda);
+                encodeRowInto(a.subspan(i * k_depth, k_depth), cfg,
+                              row.first(k_depth),
+                              out.exponents.subspan(i * out.chunk_count,
+                                                    out.chunk_count),
+                              stream ? &*stream : nullptr, tally);
+                std::fill(row.begin() + k_depth, row.end(), 0);
+            }
             tally.flush();
         });
     return out;
@@ -210,25 +198,18 @@ bfpGemm(std::span<const float> a, std::span<const float> b,
     const BfpColumnPanels b_enc =
         encodeColsPacked(b, k_depth, n_cols, cfg, ws, rng);
 
-    // Per 4-row panel: encode the panel's rows of A, narrow each to the
+    // Per 4-row panel: encode the panel's rows of A straight into the
     // int16 mantissas the fused kernel pairs (|mantissa| <= 2^bm <= 2^15),
     // then one simd::bfpPanel4 call writes the panel's outputs over every
     // chunk. Each chunk dot is exact, is scaled by 2^(ea + eb - 2 bm) and
     // added to its FP32 output in ascending chunk order: |dot| <= g 2^(2 bm)
     // <= 2^50 and the scale is a normal power of two (shared exponents lie
     // in [-148, 128], so ea + eb - 2 bm is in [-326, 254]), so the double
-    // product is exact — the same value std::ldexp gives. The kernel's int32
-    // lanes hold every dot when g 2^(2 bm) <= 2^31 - 1 (Eq. 13 with
-    // psi = 2^31 - 1, as rns::ModuliSet::canHoldDotProduct tests it); past
-    // that bound its int64 scalar reference runs instead. Output rows are
+    // product is exact — the same value std::ldexp gives — and the kernel's
+    // float route rounds that same product once. Output rows are
     // independent and draw from per-row substreams, so the parallel result
     // is bit-identical to serial execution.
     const int chunks = b_enc.chunk_count;
-    const int64_t lda = static_cast<int64_t>(chunks) * cfg.g;
-    const auto panel_kernel =
-        (int64_t{cfg.g} << (2 * cfg.bm)) <= INT32_MAX
-            ? simd::bfpPanel4
-            : simd::scalar::bfpPanel4;
     const int64_t panels = ceilDiv(m_rows, kPanelRows);
     runtime::parallelFor(
         panels,
@@ -238,7 +219,6 @@ bfpGemm(std::span<const float> a, std::span<const float> b,
         [&](int64_t p0, int64_t p1) {
             Workspace &tws = threadWorkspace();
             Workspace::Scope tscope(tws);
-            std::span<int32_t> a_row = tws.alloc<int32_t>(lda);
             std::span<int16_t> a_panel =
                 tws.alloc<int16_t>(static_cast<size_t>(kPanelRows) * k_depth);
             std::span<int32_t> a_exps =
@@ -248,19 +228,19 @@ bfpGemm(std::span<const float> a, std::span<const float> b,
                 const int i0 = static_cast<int>(p) * kPanelRows;
                 const int rows = std::min(kPanelRows, m_rows - i0);
                 for (int r = 0; r < rows; ++r) {
-                    encodeRow(a, k_depth, i0 + r, cfg, a_base, a_row.data(),
-                              a_exps.data() + r * chunks, tally);
-                    std::transform(a_row.begin(), a_row.begin() + k_depth,
-                                   a_panel.begin() + r * k_depth,
-                                   [](int32_t q) {
-                                       return static_cast<int16_t>(q);
-                                   });
+                    std::optional<Rng> stream = rowStream(a_base, i0 + r);
+                    encodeRowInto(a.subspan(static_cast<size_t>(i0 + r) *
+                                                k_depth,
+                                            k_depth),
+                                  cfg, a_panel.subspan(r * k_depth, k_depth),
+                                  a_exps.subspan(r * chunks, chunks),
+                                  stream ? &*stream : nullptr, tally);
                 }
-                panel_kernel(a_panel.data(), k_depth, a_exps.data(),
-                             b_enc.mantissas.data(), b_enc.exponents.data(),
-                             k_depth, cfg.g, n_cols, -2 * cfg.bm,
-                             c.data() + static_cast<size_t>(i0) * n_cols,
-                             n_cols, rows);
+                simd::bfpPanel4(a_panel.data(), k_depth, a_exps.data(),
+                                b_enc.mantissas.data(), b_enc.exponents.data(),
+                                k_depth, cfg.g, n_cols, cfg.bm,
+                                c.data() + static_cast<size_t>(i0) * n_cols,
+                                n_cols, rows);
             }
             tally.flush();
         });

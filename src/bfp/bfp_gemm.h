@@ -29,6 +29,26 @@
 namespace mirage {
 namespace bfp {
 
+/**
+ * Serial-below cutoffs (runtime::serialBelow) of bfpGemm and the packed
+ * encoders: a call forks its loop onto the pool only at this much work or
+ * more, counted in elements encoded and in MACs computed.
+ *
+ * Derived on a 4-vCPU Xeon (AVX2, GCC 12). A parallelFor fork costs about
+ * 4 us with 2 pool workers, 6 us with 4 and 7-15 us with 8 (p90 16-25 us,
+ * p99 up to 40 us), plus any helper that wakes late, which the forking
+ * thread then waits for. The one-pass encoders take 0.6-1.0 ns per
+ * element and the fused kernel 0.08-0.1 ns per MAC at these sizes, so
+ * 2^16 elements and 2^19 MACs are each about 40-50 us of serial work:
+ * below that, a fork's cost and its late-helper risk exceed what a second
+ * worker can win. Every GEMM of the small training CNN (at most 16 x 72 x
+ * 256, 295k MACs, and 18k-element operands) then runs inline, so its
+ * replica legs make no nested dispatch; a 192 x 64 x 96 GEMM (1.2M MACs)
+ * still forks.
+ */
+inline constexpr int64_t kMinEncodeWork = int64_t{1} << 16;
+inline constexpr int64_t kMinComputeWork = int64_t{1} << 19;
+
 /** Execution options for bfpGemm. */
 struct BfpGemmOptions
 {
@@ -63,13 +83,15 @@ std::vector<float> bfpGemm(const std::vector<float> &a,
 /**
  * Core kernel behind both overloads. B is encoded once with
  * encodeColsPacked; A is encoded one 4-row panel at a time inside the
- * compute loop, by the same row encoder as encodeRowsPacked, and narrowed
- * to int16 mantissas in a panel buffer that stays in the worker's arena.
- * One fused panel kernel (simd::bfpPanel4) per 4-row panel then computes
- * every chunk dot product exactly — int16 pairs multiplied and added into
- * int32 lanes when g 2^(2 bm) <= 2^31 - 1, in int64 otherwise — scales
- * it by an exact power of two and accumulates it in FP32 in ascending
- * chunk order. A non-null `codec` names the moduli set of the
+ * compute loop, by the row encoder of encodeRowsPacked (encodeRowInto),
+ * straight into int16 mantissas in a panel buffer that stays in the
+ * worker's arena. One fused panel kernel (simd::bfpPanel4) per 4-row
+ * panel then computes every chunk dot product exactly — int16 pairs
+ * multiplied and added into int32 lanes when g 2^(2 bm) <= 2^31 - 1, in
+ * int64 otherwise — scales it by an exact power of two with one rounding
+ * to float (in float arithmetic when g 2^(2 bm) <= 2^24 and the scale is
+ * a normal float, else in double) and accumulates it in FP32 in
+ * ascending chunk order. A non-null `codec` names the moduli set of the
  * RNS domain: it is checked against Eq. (13), under which the RNS round
  * trip returns every chunk dot unchanged, and is not otherwise used.
  * Callers that execute many GEMMs over one moduli set pass a cached codec

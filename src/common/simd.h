@@ -16,18 +16,22 @@
  *   compiled with target("avx2") only, so the compiler cannot fuse), and
  *   each output element's accumulation chain is untouched: lanes map to
  *   distinct output columns, never to partial sums of one element.
- * - The BFP encode kernels compare float bit patterns (exact) and quantize
- *   with the scalar reference's double operations per element: an exact
- *   float->double widening, one multiply by a power of two (exact), and
- *   the same roundings per mode. Half-away-from-zero takes ceil(s - 0.5)
- *   for s < 0 as -floor(|s| + 0.5), the same value, since rounding a sum
- *   is sign-symmetric.
+ * - The one-pass BFP group encoders (encodeRowF32, encodeColsF32) compare
+ *   float bit patterns for each group's largest magnitude (exact) and
+ *   then compute every Floor or half-away-from-zero mantissa with integer
+ *   shifts of the float's 24-bit significand. The reference scales in
+ *   double, where x * 2^(bm - e) is exact, and rounds; the shifts give the
+ *   same integer without leaving int32 lanes (see avx2::mantissas8).
+ *   Stochastic rounding keeps the double route (quantizeStochasticF32):
+ *   an exact widening, one exact multiply by a power of two, and the same
+ *   floor and compare per element.
  * - The fused BFP panel (bfpPanel4) computes each chunk dot exactly — in
- *   int32 lanes, which its caller guarantees cannot overflow — and then
- *   performs the reference's per-element FP operations: an exact
- *   conversion to double, an exact multiply by a power of two, one
- *   rounding to float and one FP32 add per chunk, in ascending chunk
- *   order.
+ *   int32 lanes, which the dispatch keeps for g 2^(2 bm) <= 2^31 - 1 —
+ *   and then scales it by 2^e with one rounding to float and adds it in
+ *   FP32 per chunk, in ascending chunk order. The reference rounds the
+ *   exact double product. When every dot converts to float exactly
+ *   (g 2^(2 bm) <= 2^24) and 2^e is a normal float, one float multiply
+ *   rounds the same exact product once, so the vector body takes it.
  * - The layer kernels around the GEMMs move floats without arithmetic
  *   (transposeF32, im2colPlaneF32, whose padding lanes write +0.0f as the
  *   reference does), or add one source element into each destination
@@ -48,10 +52,12 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 #include "common/math_util.h"
 
@@ -66,7 +72,7 @@
 namespace mirage {
 namespace simd {
 
-/** Mantissa rounding of the BFP quantizer (quantizeF32), applied to the
+/** Mantissa rounding of the BFP quantizer (quantizeOne), applied to the
  *  scaled value s; the modes of bfp::Rounding. */
 enum class QuantRound
 {
@@ -77,6 +83,34 @@ enum class QuantRound
 
 /// Sign-cleared float bit patterns at or above this are Inf or NaN.
 constexpr uint32_t kNonFiniteAbsBits = 0x7f800000u;
+
+/**
+ * Shared exponent of a BFP group from its largest magnitude bits
+ * (maxAbsBitsF32, below kNonFiniteAbsBits): the frexp exponent e,
+ * 2^(e-1) <= |v| < 2^e, of the largest |v|, or 0 for an all-zero group.
+ * Normal floats carry it in their biased exponent field; a subnormal is
+ * bits * 2^-149, so its exponent follows from the bit width. Finite
+ * groups land in [-148, 128].
+ */
+inline int32_t
+groupExponent(uint32_t max_bits)
+{
+    if (max_bits == 0)
+        return 0;
+    const int32_t biased = static_cast<int32_t>(max_bits >> 23);
+    return biased != 0 ? biased - 126
+                       : static_cast<int32_t>(std::bit_width(max_bits)) - 149;
+}
+
+/** What a one-pass BFP group encoder (encodeRowF32, encodeColsF32) saw. */
+struct GroupEncodeStats
+{
+    /// Largest sign-cleared bit pattern of any element. At or above
+    /// kNonFiniteAbsBits when one was Inf or NaN; the outputs are then
+    /// unspecified.
+    uint32_t max_bits = 0;
+    int64_t clipped = 0; ///< Mantissas clamped to [-2^bm, 2^bm - 1].
+};
 
 // ---------------------------------------------------------------------------
 // Scalar reference implementations (always available; used as the fallback
@@ -244,29 +278,31 @@ gemmPanel4U64Lo32(const uint64_t *a, int64_t lda, const uint64_t *b,
  * live = min(g, kd - c g), and for r < rows, j < n:
  *
  *   out[r ldo + j] = +0.0f, then for c = 0, 1, ... in ascending order
- *     += float(double(dot) * 2^(ea[r chunks + c] + eb[c n + j] + ebias)),
+ *     += float(double(dot) * 2^(ea[r chunks + c] + eb[c n + j] - 2 bm)),
  *   dot = sum over k in chunk c of a[r lda + k] * b[k n + j],
  *
- * with chunks = ceil(kd / g). `a` holds each row's int16 mantissas; `b`
- * is the K-major int32 layout of bfp::BfpColumnPanels, row k at b + k n;
- * only k < kd is read from either. `ea` is rows x chunks and `eb`
- * chunks x n. Rows past `rows` are neither read nor written. Every
- * exponent sum e (in [-326, 254] for BFP) must leave |dot| 2^e finite and
- * 2^e a normal double, so the double product is exact and the float
- * conversion is the one rounding.
+ * with chunks = ceil(kd / g). `a` holds each row's int16 mantissas and
+ * `b` is the K-major int32 layout of bfp::BfpColumnPanels, row k at
+ * b + k n; both hold (bm + 1)-bit mantissas, |q| <= 2^bm, and only k < kd
+ * is read from either. `ea` is rows x chunks and `eb` chunks x n. Rows
+ * past `rows` are neither read nor written. Every exponent sum e (in
+ * [-326, 254] for BFP) must leave |dot| 2^e finite and 2^e a normal
+ * double, so the double product is exact and the float conversion is the
+ * one rounding.
  *
  * This reference sums each dot exactly in int64. The vector bodies sum
  * (k, k + 1) pairs with a 16-bit multiply-add into int32 lanes, so they
- * require every partial dot to fit int32; g 2^(2 bm) <= 2^31 - 1 (Eq. 13
- * with psi = 2^31 - 1) guarantees that for (bm + 1)-bit mantissas, and
- * callers past that bound call this reference directly.
+ * need every partial dot to fit int32: |dot| <= g 2^(2 bm) <= 2^31 - 1
+ * (Eq. 13 with psi = 2^31 - 1). The dispatching bfpPanel4 runs this
+ * reference past that bound.
  */
 inline void
 bfpPanel4(const int16_t *a, int64_t lda, const int32_t *ea, const int32_t *b,
-          const int32_t *eb, int kd, int g, int n, int ebias, float *out,
+          const int32_t *eb, int kd, int g, int n, int bm, float *out,
           int64_t ldo, int rows)
 {
     const int chunks = (kd + g - 1) / g;
+    const int ebias = -2 * bm;
     constexpr int kTile = 8;
     for (int j0 = 0; j0 < n; j0 += kTile) {
         const int w = std::min(kTile, n - j0);
@@ -359,32 +395,95 @@ quantizeOne(float x, double scale, QuantRound mode, double u, int32_t qmin,
 }
 
 /**
- * BFP mantissa quantizer over a rows x w block:
- * q[t * ldq + j] = clamp(round(double(x[t * ldx + j]) * s), qmin, qmax)
- * with s = scale[j] when `column_scales`, else scale[t] (one scale per
- * row). Rounding follows `mode`, with u[t * w + j] as the stochastic
- * uniform (u is read only for QuantRound::Stochastic). Scales are powers
- * of two, so the product is exact; rounded values must fit in int32.
- * Returns the number of clamped elements.
+ * Stochastic-rounding BFP mantissa quantizer over a rows x w block:
+ * q[t * ldq + j] = clamp(floor(s) + (u < s - floor(s)), qmin, qmax) for
+ * s = double(x[t * ldx + j]) * scale, scale = scale[j] when
+ * `column_scales`, else scale[t] (one scale per row), and u =
+ * u[t * w + j]. Scales are powers of two, so the product is exact;
+ * rounded values must fit in int32. Returns the number of clamped
+ * elements.
  */
 inline int64_t
-quantizeF32(const float *x, int64_t ldx, int rows, int w, const double *scale,
-            bool column_scales, QuantRound mode, const double *u,
-            int32_t qmin, int32_t qmax, int32_t *q, int64_t ldq)
+quantizeStochasticF32(const float *x, int64_t ldx, int rows, int w,
+                      const double *scale, bool column_scales,
+                      const double *u, int32_t qmin, int32_t qmax, int32_t *q,
+                      int64_t ldq)
 {
     int64_t clipped = 0;
     for (int t = 0; t < rows; ++t) {
         const float *xr = x + static_cast<size_t>(t) * ldx;
         int32_t *qr = q + static_cast<size_t>(t) * ldq;
-        for (int j = 0; j < w; ++j) {
-            const double uj = mode == QuantRound::Stochastic
-                                  ? u[static_cast<size_t>(t) * w + j]
-                                  : 0.0;
+        for (int j = 0; j < w; ++j)
             qr[j] = quantizeOne(xr[j], column_scales ? scale[j] : scale[t],
-                                mode, uj, qmin, qmax, clipped);
-        }
+                                QuantRound::Stochastic,
+                                u[static_cast<size_t>(t) * w + j], qmin, qmax,
+                                clipped);
     }
     return clipped;
+}
+
+/**
+ * One-pass BFP encoder of one row, for QuantRound::Floor or HalfAway: the
+ * n values split into consecutive groups of g along the row (the last may
+ * be shorter). Group c's shared exponent is e[c] = groupExponent(its
+ * maxAbsBitsF32), and each of its values x[i] gets the mantissa
+ * q[i] = quantizeOne(x[i], 2^(bm - e[c]), mode) in [-2^bm, 2^bm - 1].
+ * Q is int32_t, or int16_t for bm <= 15. This reference stops at the
+ * first group that holds Inf or NaN.
+ */
+template <typename Q>
+inline GroupEncodeStats
+encodeRowF32(const float *x, int n, int g, int bm, QuantRound mode, Q *q,
+             int32_t *e)
+{
+    GroupEncodeStats st;
+    const int32_t qmin = -(1 << bm), qmax = (1 << bm) - 1;
+    for (int start = 0, c = 0; start < n; start += g, ++c) {
+        const int len = std::min(g, n - start);
+        const uint32_t m = maxAbsBitsF32(x + start, len);
+        st.max_bits = std::max(st.max_bits, m);
+        if (m >= kNonFiniteAbsBits)
+            return st;
+        e[c] = groupExponent(m);
+        const double scale = exactPow2(bm - e[c]);
+        for (int i = start; i < start + len; ++i)
+            q[i] = static_cast<Q>(
+                quantizeOne(x[i], scale, mode, 0.0, qmin, qmax, st.clipped));
+    }
+    return st;
+}
+
+/**
+ * Column twin of encodeRowF32 over the k_depth x w block x (row stride
+ * ldx): column j is grouped down K in chunks of g rows. Chunk c's shared
+ * exponent goes to e[c * lde + j] and the mantissa of (k, j) to
+ * q[k * ldq + j], for k < k_depth.
+ */
+inline GroupEncodeStats
+encodeColsF32(const float *x, int64_t ldx, int k_depth, int g, int w, int bm,
+              QuantRound mode, int32_t *q, int64_t ldq, int32_t *e,
+              int64_t lde)
+{
+    GroupEncodeStats st;
+    const int32_t qmin = -(1 << bm), qmax = (1 << bm) - 1;
+    for (int start = 0, c = 0; start < k_depth; start += g, ++c) {
+        const int k1 = std::min(start + g, k_depth);
+        for (int j = 0; j < w; ++j) {
+            uint32_t m = 0;
+            for (int k = start; k < k1; ++k)
+                m = std::max(m, absBitsF32(x[k * ldx + j]));
+            st.max_bits = std::max(st.max_bits, m);
+            if (m >= kNonFiniteAbsBits)
+                return st;
+            const int32_t ec = groupExponent(m);
+            e[c * lde + j] = ec;
+            const double scale = exactPow2(bm - ec);
+            for (int k = start; k < k1; ++k)
+                q[k * ldq + j] = quantizeOne(x[k * ldx + j], scale, mode, 0.0,
+                                             qmin, qmax, st.clipped);
+        }
+    }
+    return st;
 }
 
 /** Row-major transpose: out[c * rows + r] = a[r * cols + c] for the
@@ -892,6 +991,18 @@ gemmPanel4U64Lo32(const uint64_t *a, int64_t lda, const uint64_t *b,
     }
 }
 
+/** Lanes l with lo <= base + l < hi, as an int32 mask. */
+__attribute__((target("avx2"))) inline __m256i
+spanMask(int base, int lo, int hi)
+{
+    const __m256i idx =
+        _mm256_add_epi32(_mm256_set1_epi32(base),
+                         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    return _mm256_andnot_si256(
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(lo), idx),
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(hi), idx));
+}
+
 /** Eight int32 lanes at p; under Tail only the lanes set in `mask`, the
  *  rest read as 0 without touching their memory. */
 template <bool Tail>
@@ -902,6 +1013,29 @@ load8I32(const int32_t *p, __m256i mask)
         return _mm256_maskload_epi32(p, mask);
     else
         return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p));
+}
+
+/** Float twin of load8I32: masked lanes read as +0.0f. */
+template <bool Tail>
+__attribute__((target("avx2"))) inline __m256
+load8F32(const float *p, __m256i mask)
+{
+    if constexpr (Tail)
+        return _mm256_maskload_ps(p, mask);
+    else
+        return _mm256_loadu_ps(p);
+}
+
+/** Stores the eight int32 lanes v at p; under Tail only the `mask`ed
+ *  ones. */
+template <bool Tail>
+__attribute__((target("avx2"))) inline void
+store8I32(int32_t *p, __m256i v, __m256i mask)
+{
+    if constexpr (Tail)
+        _mm256_maskstore_epi32(p, mask, v);
+    else
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(p), v);
 }
 
 /** The int16 pair (p[0], p[1]) as one 32-bit word in every lane. */
@@ -938,14 +1072,43 @@ scaleToF32(__m256i s, __m256i eb, int32_t ea)
     return _mm256_insertf128_ps(_mm256_castps128_ps256(f0), f1, 1);
 }
 
+/** float(s) * 2^(e - 127) per lane for a float-biased exponent e in
+ *  [1, 254]: s converts exactly (|s| <= 2^24), 2^(e - 127) is a normal
+ *  float, so the multiply is the one rounding of the exact product. */
+__attribute__((target("avx2"))) inline __m256
+scaleToF32Exact(__m256i s, __m256i e)
+{
+    return _mm256_mul_ps(_mm256_cvtepi32_ps(s),
+                         _mm256_castsi256_ps(_mm256_slli_epi32(e, 23)));
+}
+
+/** True when every lane of the four float-biased exponents lies in
+ *  [1, 254], the normal floats' range. */
+__attribute__((target("avx2"))) inline bool
+normalF32Exponents(__m256i e0, __m256i e1, __m256i e2, __m256i e3)
+{
+    const __m256i lo =
+        _mm256_min_epi32(_mm256_min_epi32(e0, e1), _mm256_min_epi32(e2, e3));
+    const __m256i hi =
+        _mm256_max_epi32(_mm256_max_epi32(e0, e1), _mm256_max_epi32(e2, e3));
+    const __m256i bad =
+        _mm256_or_si256(_mm256_cmpgt_epi32(_mm256_set1_epi32(1), lo),
+                        _mm256_cmpgt_epi32(hi, _mm256_set1_epi32(254)));
+    return _mm256_testz_si256(bad, bad) != 0;
+}
+
 /** bfpPanel4 over output columns [j, j + 8), the last `mask`ed ones only
  *  under Tail. The 4 x 8 int32 chunk sums and FP32 outputs stay in
- *  registers; rows past `rows` recompute row 0 and are not stored. */
+ *  registers; rows past `rows` recompute row 0 and are not stored.
+ *  `exact_f32` says every chunk dot converts to float exactly; a chunk
+ *  whose 4 x 8 exponent sums all lie in [-126, 127] then scales in
+ *  float, and any other chunk through double (a masked lane counts with
+ *  eb = 0, which can only send a chunk to the double route). */
 template <bool Tail>
 __attribute__((target("avx2"))) inline void
 bfpPanel4Cols(const int16_t *a, int64_t lda, const int32_t *ea,
               const int32_t *b, const int32_t *eb, int kd, int g, int n,
-              int ebias, float *out, int64_t ldo, int rows, int j,
+              int bm, bool exact_f32, float *out, int64_t ldo, int rows, int j,
               __m256i mask)
 {
     const int chunks = (kd + g - 1) / g;
@@ -957,7 +1120,8 @@ bfpPanel4Cols(const int16_t *a, int64_t lda, const int32_t *ea,
     const int32_t *e1 = rows > 1 ? ea + chunks : ea;
     const int32_t *e2 = rows > 2 ? ea + 2 * chunks : ea;
     const int32_t *e3 = rows > 3 ? ea + 3 * chunks : ea;
-    const __m256i bias = _mm256_set1_epi32(ebias + 1023);
+    const __m256i bias = _mm256_set1_epi32(1023 - 2 * bm);
+    const __m256i bias_f32 = _mm256_set1_epi32(127 - 2 * bm);
     __m256 f0 = _mm256_setzero_ps(), f1 = f0, f2 = f0, f3 = f0;
     for (int c = 0; c < chunks; ++c) {
         const int k1 = std::min((c + 1) * g, kd);
@@ -986,8 +1150,26 @@ bfpPanel4Cols(const int16_t *a, int64_t lda, const int32_t *ea,
             s2 = _mm256_add_epi32(s2, _mm256_madd_epi16(loneWord(a2 + k), bl));
             s3 = _mm256_add_epi32(s3, _mm256_madd_epi16(loneWord(a3 + k), bl));
         }
-        const __m256i eb_biased = _mm256_add_epi32(
-            load8I32<Tail>(eb + static_cast<size_t>(c) * n + j, mask), bias);
+        const __m256i ebc =
+            load8I32<Tail>(eb + static_cast<size_t>(c) * n + j, mask);
+        if (exact_f32) {
+            const __m256i b0 = _mm256_add_epi32(
+                ebc, _mm256_add_epi32(bias_f32, _mm256_set1_epi32(e0[c])));
+            const __m256i b1 = _mm256_add_epi32(
+                ebc, _mm256_add_epi32(bias_f32, _mm256_set1_epi32(e1[c])));
+            const __m256i b2 = _mm256_add_epi32(
+                ebc, _mm256_add_epi32(bias_f32, _mm256_set1_epi32(e2[c])));
+            const __m256i b3 = _mm256_add_epi32(
+                ebc, _mm256_add_epi32(bias_f32, _mm256_set1_epi32(e3[c])));
+            if (normalF32Exponents(b0, b1, b2, b3)) {
+                f0 = _mm256_add_ps(f0, scaleToF32Exact(s0, b0));
+                f1 = _mm256_add_ps(f1, scaleToF32Exact(s1, b1));
+                f2 = _mm256_add_ps(f2, scaleToF32Exact(s2, b2));
+                f3 = _mm256_add_ps(f3, scaleToF32Exact(s3, b3));
+                continue;
+            }
+        }
+        const __m256i eb_biased = _mm256_add_epi32(ebc, bias);
         f0 = _mm256_add_ps(f0, scaleToF32(s0, eb_biased, e0[c]));
         f1 = _mm256_add_ps(f1, scaleToF32(s1, eb_biased, e1[c]));
         f2 = _mm256_add_ps(f2, scaleToF32(s2, eb_biased, e2[c]));
@@ -1005,30 +1187,58 @@ bfpPanel4Cols(const int16_t *a, int64_t lda, const int32_t *ea,
 
 /** Fused BFP panel: 8-column tiles of int16-pair multiply-adds into int32
  *  lanes (vpmaddwd), a masked tile for the last n % 8 columns. Requires
- *  every partial chunk dot to fit int32 (see scalar::bfpPanel4). */
+ *  g 2^(2 bm) <= 2^31 - 1 (see scalar::bfpPanel4). Below g 2^(2 bm) <=
+ *  2^24 every chunk dot converts to float exactly, which opens the float
+ *  epilogue. */
 __attribute__((target("avx2"))) inline void
 bfpPanel4(const int16_t *a, int64_t lda, const int32_t *ea, const int32_t *b,
-          const int32_t *eb, int kd, int g, int n, int ebias, float *out,
+          const int32_t *eb, int kd, int g, int n, int bm, float *out,
           int64_t ldo, int rows)
 {
+    const bool exact_f32 = (int64_t{g} << (2 * bm)) <= (int64_t{1} << 24);
     int j = 0;
     for (; j + 8 <= n; j += 8)
-        bfpPanel4Cols<false>(a, lda, ea, b, eb, kd, g, n, ebias, out, ldo,
-                             rows, j, _mm256_set1_epi32(-1));
-    if (j < n) {
-        const __m256i mask =
-            _mm256_cmpgt_epi32(_mm256_set1_epi32(n - j),
-                               _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-        bfpPanel4Cols<true>(a, lda, ea, b, eb, kd, g, n, ebias, out, ldo,
-                            rows, j, mask);
-    }
+        bfpPanel4Cols<false>(a, lda, ea, b, eb, kd, g, n, bm, exact_f32, out,
+                             ldo, rows, j, _mm256_set1_epi32(-1));
+    if (j < n)
+        bfpPanel4Cols<true>(a, lda, ea, b, eb, kd, g, n, bm, exact_f32, out,
+                            ldo, rows, j, spanMask(0, 0, n - j));
 }
 
 __attribute__((target("avx2"))) inline __m256i
-absBits8(const float *x)
+absBits8(__m256 x)
 {
-    return _mm256_and_si256(_mm256_castps_si256(_mm256_loadu_ps(x)),
+    return _mm256_and_si256(_mm256_castps_si256(x),
                             _mm256_set1_epi32(0x7fffffff));
+}
+
+/** The largest of eight unsigned lanes, in every lane. */
+__attribute__((target("avx2"))) inline __m256i
+maxAcrossU32(__m256i v)
+{
+    v = _mm256_max_epu32(v, _mm256_permute2x128_si256(v, v, 1));
+    v = _mm256_max_epu32(v, _mm256_shuffle_epi32(v, _MM_SHUFFLE(1, 0, 3, 2)));
+    return _mm256_max_epu32(v,
+                            _mm256_shuffle_epi32(v, _MM_SHUFFLE(2, 3, 0, 1)));
+}
+
+/** The largest of eight unsigned lanes. */
+__attribute__((target("avx2"))) inline uint32_t
+maxLaneU32(__m256i v)
+{
+    return static_cast<uint32_t>(_mm256_cvtsi256_si32(maxAcrossU32(v)));
+}
+
+/** Sum of eight int32 lanes. */
+__attribute__((target("avx2"))) inline int64_t
+sumLanesI32(__m256i v)
+{
+    alignas(32) int32_t lanes[8];
+    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), v);
+    int64_t sum = 0;
+    for (int32_t lane : lanes)
+        sum += lane;
+    return sum;
 }
 
 __attribute__((target("avx2"))) inline uint32_t
@@ -1037,12 +1247,8 @@ maxAbsBitsF32(const float *x, int n)
     __m256i acc = _mm256_setzero_si256();
     int i = 0;
     for (; i + 8 <= n; i += 8)
-        acc = _mm256_max_epu32(acc, absBits8(x + i));
-    __m128i m = _mm_max_epu32(_mm256_castsi256_si128(acc),
-                              _mm256_extracti128_si256(acc, 1));
-    m = _mm_max_epu32(m, _mm_shuffle_epi32(m, _MM_SHUFFLE(1, 0, 3, 2)));
-    m = _mm_max_epu32(m, _mm_shuffle_epi32(m, _MM_SHUFFLE(2, 3, 0, 1)));
-    uint32_t best = static_cast<uint32_t>(_mm_cvtsi128_si32(m));
+        acc = _mm256_max_epu32(acc, absBits8(_mm256_loadu_ps(x + i)));
+    uint32_t best = maxLaneU32(acc);
     for (; i < n; ++i)
         best = std::max(best, scalar::absBitsF32(x[i]));
     return best;
@@ -1058,11 +1264,262 @@ maxAbsBitsColsF32(const float *x, int64_t ldx, int rows, int w, uint32_t *m)
         __m256i acc = _mm256_setzero_si256();
         for (int t = 0; t < rows; ++t)
             acc = _mm256_max_epu32(
-                acc, absBits8(x + static_cast<size_t>(t) * ldx + j));
+                acc, absBits8(_mm256_loadu_ps(
+                         x + static_cast<size_t>(t) * ldx + j)));
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(m + j), acc);
     }
     if (j < w)
         scalar::maxAbsBitsColsF32(x + j, ldx, rows, w - j, m + j);
+}
+
+/** groupExponent of eight groups' largest magnitude bits m. A subnormal's
+ *  bits (below 2^23) convert to float exactly, with biased exponent
+ *  126 + their bit width. */
+__attribute__((target("avx2"))) inline __m256i
+groupExponent8(__m256i m)
+{
+    const __m256i zero = _mm256_setzero_si256();
+    const __m256i biased = _mm256_srli_epi32(m, 23);
+    const __m256i width_biased = _mm256_srli_epi32(
+        _mm256_castps_si256(_mm256_cvtepi32_ps(m)), 23);
+    const __m256i e = _mm256_sub_epi32(
+        _mm256_blendv_epi8(biased,
+                           _mm256_sub_epi32(width_biased,
+                                            _mm256_set1_epi32(149)),
+                           _mm256_cmpeq_epi32(biased, zero)),
+        _mm256_set1_epi32(126));
+    return _mm256_andnot_si256(_mm256_cmpeq_epi32(m, zero), e);
+}
+
+/** Per-lane shifts of mantissas8 for groups with shared exponents e. */
+struct GroupShifts
+{
+    __m256i base; ///< 150 - bm + e + pre
+    __m256i pre;  ///< Significand left shift (mantissas8), one more
+                  ///< under half-away rounding.
+};
+
+template <QuantRound R>
+__attribute__((target("avx2"))) inline GroupShifts
+groupShifts8(__m256i e, int bm)
+{
+    const __m256i one = _mm256_set1_epi32(1);
+    const __m256i base = _mm256_add_epi32(e, _mm256_set1_epi32(150 - bm));
+    const __m256i pre = _mm256_max_epi32(_mm256_sub_epi32(one, base),
+                                         _mm256_setzero_si256());
+    GroupShifts gs;
+    gs.base = _mm256_add_epi32(base, pre);
+    gs.pre = R == QuantRound::Floor ? pre : _mm256_add_epi32(pre, one);
+    return gs;
+}
+
+/**
+ * Floor or half-away-from-zero mantissas of the eight floats x, exact in
+ * int32 lanes, for groups with shared exponents e. Write |x| = M 2^(E -
+ * 150), with M the 24-bit significand and E the biased exponent (1 for a
+ * subnormal). Then, for base = 150 - bm + e,
+ *   |x| 2^(bm - e) = (M << pre) 2^-sh,  sh = base + pre - E >= 0.
+ * pre is 0, except in a group whose largest value is a subnormal below
+ * 2^(bm - 149): every element is then subnormal (E = 1), base - E < 0,
+ * and pre = 1 - base shifts left instead (M < 2^bm there, so nothing
+ * overflows). Otherwise sh >= 24 - bm, and a variable shift by 32 or more
+ * yields 0 (logical) or the sign (arithmetic): the exact floor of so small
+ * a value. Since |s| = |x| 2^(bm - e) < 2^bm, floor(s) never leaves
+ * [-2^bm, 2^bm - 1], and half-away rounding leaves it only at +2^bm, which
+ * clamps to 2^bm - 1 = hi and adds -1 to neg_clipped.
+ */
+template <QuantRound R>
+__attribute__((target("avx2"))) inline __m256i
+mantissas8(__m256 x, const GroupShifts &gs, __m256i hi, __m256i &neg_clipped)
+{
+    const __m256i one = _mm256_set1_epi32(1);
+    const __m256i bits = _mm256_castps_si256(x);
+    const __m256i abs = _mm256_and_si256(bits, _mm256_set1_epi32(0x7fffffff));
+    const __m256i e_eff = _mm256_max_epi32(_mm256_srli_epi32(abs, 23), one);
+    // A normal float's hidden bit replaces its exponent field E: subtract
+    // (E - 1) << 23 (nothing for a subnormal).
+    const __m256i sig = _mm256_sllv_epi32(
+        _mm256_sub_epi32(abs,
+                         _mm256_slli_epi32(_mm256_sub_epi32(e_eff, one), 23)),
+        gs.pre);
+    const __m256i sh = _mm256_sub_epi32(gs.base, e_eff);
+    if constexpr (R == QuantRound::Floor) {
+        // An arithmetic shift of the signed significand floors. sign_epi32
+        // negates where x's sign bit is set (-0 has sig = 0).
+        return _mm256_srav_epi32(_mm256_sign_epi32(sig, bits), sh);
+    } else {
+        // pre carries one more bit here, so sig 2^-sh = 2|s| and
+        // floor(|s| + 1/2) = (floor(2|s|) + 1) >> 1; then the sign, as
+        // ceil(s - 1/2) = -floor(-s + 1/2) for s < 0.
+        const __m256i q = _mm256_sign_epi32(
+            _mm256_srli_epi32(
+                _mm256_add_epi32(_mm256_srlv_epi32(sig, sh), one), 1),
+            bits);
+        neg_clipped = _mm256_add_epi32(neg_clipped, _mm256_cmpgt_epi32(q, hi));
+        return _mm256_min_epi32(q, hi);
+    }
+}
+
+/** Stores the first `live` of the eight mantissas v at p (all eight
+ *  unless Tail), narrowed to int16 for Q = int16_t; |v| <= 2^15. */
+template <typename Q, bool Tail>
+__attribute__((target("avx2"))) inline void
+storeMantissas8(Q *p, __m256i v, __m256i mask, int live)
+{
+    if constexpr (std::is_same_v<Q, int32_t>) {
+        store8I32<Tail>(p, v, mask);
+    } else {
+        const __m128i h = _mm_packs_epi32(_mm256_castsi256_si128(v),
+                                          _mm256_extracti128_si256(v, 1));
+        if constexpr (Tail) {
+            alignas(16) int16_t lanes[8];
+            _mm_store_si128(reinterpret_cast<__m128i *>(lanes), h);
+            std::memcpy(p, lanes, static_cast<size_t>(live) * sizeof(Q));
+        } else {
+            _mm_storeu_si128(reinterpret_cast<__m128i *>(p), h);
+        }
+    }
+}
+
+/** encodeRowF32 for one rounding mode: per group, one vector pass for its
+ *  largest magnitude bits and one for its mantissas; the group's last
+ *  len % 8 values take masked steps. */
+template <QuantRound R, typename Q>
+__attribute__((target("avx2"))) inline GroupEncodeStats
+encodeRowRoundF32(const float *x, int n, int g, int bm, Q *q, int32_t *e)
+{
+    const __m256i hi = _mm256_set1_epi32((1 << bm) - 1);
+    __m256i max_bits = _mm256_setzero_si256();
+    __m256i neg_clipped = max_bits;
+    for (int start = 0, c = 0; start < n; start += g, ++c) {
+        const int len = std::min(g, n - start);
+        const int full = len & ~7;
+        const __m256i tail = spanMask(0, 0, len - full);
+        const float *xg = x + start;
+        Q *qg = q + start;
+        __m256i m = _mm256_setzero_si256();
+        for (int t = 0; t < full; t += 8)
+            m = _mm256_max_epu32(m, absBits8(_mm256_loadu_ps(xg + t)));
+        if (full < len)
+            m = _mm256_max_epu32(m, absBits8(load8F32<true>(xg + full, tail)));
+        m = maxAcrossU32(m);
+        max_bits = _mm256_max_epu32(max_bits, m);
+        const __m256i ec = groupExponent8(m);
+        e[c] = _mm256_cvtsi256_si32(ec);
+        const GroupShifts gs = groupShifts8<R>(ec, bm);
+        for (int t = 0; t < full; t += 8)
+            storeMantissas8<Q, false>(
+                qg + t,
+                mantissas8<R>(_mm256_loadu_ps(xg + t), gs, hi, neg_clipped),
+                tail, 8);
+        if (full < len)
+            storeMantissas8<Q, true>(
+                qg + full,
+                mantissas8<R>(load8F32<true>(xg + full, tail), gs, hi,
+                              neg_clipped),
+                tail, len - full);
+    }
+    GroupEncodeStats st;
+    st.max_bits = maxLaneU32(max_bits);
+    st.clipped = -sumLanesI32(neg_clipped);
+    return st;
+}
+
+template <typename Q>
+__attribute__((target("avx2"))) inline GroupEncodeStats
+encodeRowF32(const float *x, int n, int g, int bm, QuantRound mode, Q *q,
+             int32_t *e)
+{
+    if (mode == QuantRound::Floor)
+        return encodeRowRoundF32<QuantRound::Floor>(x, n, g, bm, q, e);
+    return encodeRowRoundF32<QuantRound::HalfAway>(x, n, g, bm, q, e);
+}
+
+/** Column maxima of one chunk's `rows` rows over the eight columns at x
+ *  (the `mask`ed ones only under Tail): stores their shared exponents at
+ *  e and returns their shifts. */
+template <QuantRound R, bool Tail>
+__attribute__((target("avx2"))) inline GroupShifts
+encodeColsExponents(const float *x, int64_t ldx, int rows, int bm, int32_t *e,
+                    __m256i mask, __m256i &max_bits)
+{
+    __m256i m = _mm256_setzero_si256();
+    for (int t = 0; t < rows; ++t)
+        m = _mm256_max_epu32(m, absBits8(load8F32<Tail>(x + t * ldx, mask)));
+    max_bits = _mm256_max_epu32(max_bits, m);
+    const __m256i ec = groupExponent8(m);
+    store8I32<Tail>(e, ec, mask);
+    return groupShifts8<R>(ec, bm);
+}
+
+/** Columns per block of encodeColsF32: the block's shifts stay in L1 while
+ *  its rows are quantized as 256-byte runs. */
+constexpr int kEncodeColsBlock = 64;
+
+/** encodeColsF32 for one rounding mode. Per chunk and block of up to 64
+ *  columns: one pass down the rows of each 8-column step for its shared
+ *  exponents, then the mantissas row by row, the last w % 8 columns under
+ *  a mask. Row-major stores keep the rows' streams few and contiguous. */
+template <QuantRound R>
+__attribute__((target("avx2"))) inline GroupEncodeStats
+encodeColsRoundF32(const float *x, int64_t ldx, int k_depth, int g, int w,
+                   int bm, int32_t *q, int64_t ldq, int32_t *e, int64_t lde)
+{
+    constexpr int kSteps = kEncodeColsBlock / 8;
+    const __m256i all = _mm256_set1_epi32(-1);
+    const __m256i hi = _mm256_set1_epi32((1 << bm) - 1);
+    __m256i max_bits = _mm256_setzero_si256();
+    __m256i neg_clipped = max_bits;
+    for (int start = 0, c = 0; start < k_depth; start += g, ++c) {
+        const int rows = std::min(g, k_depth - start);
+        const float *xc = x + start * ldx;
+        int32_t *qc = q + start * ldq;
+        for (int j0 = 0; j0 < w; j0 += kEncodeColsBlock) {
+            const int bw = std::min(kEncodeColsBlock, w - j0);
+            const int full = bw / 8;
+            const __m256i tail = spanMask(0, 0, bw % 8);
+            GroupShifts gs[kSteps]; // a masked step only in a partial block
+            for (int s = 0; s < full; ++s)
+                gs[s] = encodeColsExponents<R, false>(
+                    xc + j0 + 8 * s, ldx, rows, bm, e + c * lde + j0 + 8 * s,
+                    all, max_bits);
+            if (full * 8 < bw)
+                gs[full] = encodeColsExponents<R, true>(
+                    xc + j0 + 8 * full, ldx, rows, bm,
+                    e + c * lde + j0 + 8 * full, tail, max_bits);
+            for (int t = 0; t < rows; ++t) {
+                const float *xr = xc + t * ldx + j0;
+                int32_t *qr = qc + t * ldq + j0;
+                for (int s = 0; s < full; ++s)
+                    store8I32<false>(qr + 8 * s,
+                                     mantissas8<R>(_mm256_loadu_ps(xr + 8 * s),
+                                                   gs[s], hi, neg_clipped),
+                                     all);
+                if (full * 8 < bw)
+                    store8I32<true>(
+                        qr + 8 * full,
+                        mantissas8<R>(load8F32<true>(xr + 8 * full, tail),
+                                      gs[full], hi, neg_clipped),
+                        tail);
+            }
+        }
+    }
+    GroupEncodeStats st;
+    st.max_bits = maxLaneU32(max_bits);
+    st.clipped = -sumLanesI32(neg_clipped);
+    return st;
+}
+
+__attribute__((target("avx2"))) inline GroupEncodeStats
+encodeColsF32(const float *x, int64_t ldx, int k_depth, int g, int w, int bm,
+              QuantRound mode, int32_t *q, int64_t ldq, int32_t *e,
+              int64_t lde)
+{
+    if (mode == QuantRound::Floor)
+        return encodeColsRoundF32<QuantRound::Floor>(x, ldx, k_depth, g, w, bm,
+                                                     q, ldq, e, lde);
+    return encodeColsRoundF32<QuantRound::HalfAway>(x, ldx, k_depth, g, w, bm,
+                                                    q, ldq, e, lde);
 }
 
 /** Eight int32 lanes from two four-lane halves. */
@@ -1072,61 +1529,24 @@ join128(__m128i lo, __m128i hi)
     return _mm256_inserti128_si256(_mm256_castsi128_si256(lo), hi, 1);
 }
 
-/** round(s) per mode for the scaled halves s0, s1 of the eight values x,
- *  as int32; `u` (eight uniforms) is read only when stochastic. */
-template <QuantRound R>
-__attribute__((target("avx2"))) inline __m256i
-roundScaled8(__m256 x, __m256d s0, __m256d s1, const double *u)
-{
-    if constexpr (R == QuantRound::Floor) {
-        return join128(_mm256_cvtpd_epi32(_mm256_floor_pd(s0)),
-                       _mm256_cvtpd_epi32(_mm256_floor_pd(s1)));
-    } else if constexpr (R == QuantRound::HalfAway) {
-        // floor(|s| + 0.5) by truncation (the sum is non-negative), then
-        // the sign of s, which is x's (scales are positive): for s < 0,
-        // ceil(s - 0.5) equals -floor(-s + 0.5) because rounding the sum
-        // is sign-symmetric, and -0 is the integer 0.
-        const __m256d sign = _mm256_set1_pd(-0.0);
-        const __m256d half = _mm256_set1_pd(0.5);
-        const __m256i mag = join128(
-            _mm256_cvttpd_epi32(
-                _mm256_add_pd(_mm256_andnot_pd(sign, s0), half)),
-            _mm256_cvttpd_epi32(
-                _mm256_add_pd(_mm256_andnot_pd(sign, s1), half)));
-        const __m256i neg = _mm256_srai_epi32(_mm256_castps_si256(x), 31);
-        return _mm256_sub_epi32(_mm256_xor_si256(mag, neg), neg);
-    } else {
-        const __m256d one = _mm256_set1_pd(1.0);
-        const __m256d f0 = _mm256_floor_pd(s0);
-        const __m256d f1 = _mm256_floor_pd(s1);
-        const __m256d hit0 = _mm256_cmp_pd(_mm256_loadu_pd(u),
-                                           _mm256_sub_pd(s0, f0), _CMP_LT_OQ);
-        const __m256d hit1 = _mm256_cmp_pd(_mm256_loadu_pd(u + 4),
-                                           _mm256_sub_pd(s1, f1), _CMP_LT_OQ);
-        return join128(
-            _mm256_cvtpd_epi32(_mm256_add_pd(f0, _mm256_and_pd(hit0, one))),
-            _mm256_cvtpd_epi32(_mm256_add_pd(f1, _mm256_and_pd(hit1, one))));
-    }
-}
-
-/** quantizeF32 for one rounding mode: eight columns per vector step,
- *  widened to two four-lane double halves and narrowed back to int32. */
-template <QuantRound R>
+/** quantizeStochasticF32: eight columns per vector step, widened to two
+ *  four-lane double halves, floor(s) + (u < s - floor(s)) per lane and
+ *  narrowed back to int32. */
 __attribute__((target("avx2"))) inline int64_t
-quantizeRoundF32(const float *x, int64_t ldx, int rows, int w,
-                 const double *scale, bool column_scales, const double *u,
-                 int32_t qmin, int32_t qmax, int32_t *q, int64_t ldq)
+quantizeStochasticF32(const float *x, int64_t ldx, int rows, int w,
+                      const double *scale, bool column_scales,
+                      const double *u, int32_t qmin, int32_t qmax, int32_t *q,
+                      int64_t ldq)
 {
     const __m256i lo = _mm256_set1_epi32(qmin);
     const __m256i hi = _mm256_set1_epi32(qmax);
-    __m256i neg_clipped = _mm256_setzero_si256(); // -1 per clamp, per lane
+    const __m256d one = _mm256_set1_pd(1.0);
+    __m256i neg_clipped = _mm256_setzero_si256();
     int64_t clipped = 0;
     for (int t = 0; t < rows; ++t) {
         const float *xr = x + static_cast<size_t>(t) * ldx;
         int32_t *qr = q + static_cast<size_t>(t) * ldq;
-        const double *ur =
-            R == QuantRound::Stochastic ? u + static_cast<size_t>(t) * w
-                                        : nullptr;
+        const double *ur = u + static_cast<size_t>(t) * w;
         const __m256d row_scale =
             _mm256_set1_pd(column_scales ? 0.0 : scale[t]);
         int j = 0;
@@ -1138,8 +1558,16 @@ quantizeRoundF32(const float *x, int64_t ldx, int rows, int w,
             const __m256d s1 = _mm256_mul_pd(
                 _mm256_cvtps_pd(_mm256_extractf128_ps(xv, 1)),
                 column_scales ? _mm256_loadu_pd(scale + j + 4) : row_scale);
-            const __m256i r = roundScaled8<R>(
-                xv, s0, s1, R == QuantRound::Stochastic ? ur + j : nullptr);
+            const __m256d f0 = _mm256_floor_pd(s0);
+            const __m256d f1 = _mm256_floor_pd(s1);
+            const __m256d hit0 = _mm256_cmp_pd(
+                _mm256_loadu_pd(ur + j), _mm256_sub_pd(s0, f0), _CMP_LT_OQ);
+            const __m256d hit1 = _mm256_cmp_pd(
+                _mm256_loadu_pd(ur + j + 4), _mm256_sub_pd(s1, f1), _CMP_LT_OQ);
+            const __m256i r = join128(
+                _mm256_cvtpd_epi32(_mm256_add_pd(f0, _mm256_and_pd(hit0, one))),
+                _mm256_cvtpd_epi32(
+                    _mm256_add_pd(f1, _mm256_and_pd(hit1, one))));
             neg_clipped = _mm256_add_epi32(
                 neg_clipped, _mm256_or_si256(_mm256_cmpgt_epi32(r, hi),
                                              _mm256_cmpgt_epi32(lo, r)));
@@ -1147,35 +1575,12 @@ quantizeRoundF32(const float *x, int64_t ldx, int rows, int w,
                                 _mm256_min_epi32(_mm256_max_epi32(r, lo), hi));
         }
         for (; j < w; ++j)
-            qr[j] = scalar::quantizeOne(
-                xr[j], column_scales ? scale[j] : scale[t], R,
-                R == QuantRound::Stochastic ? ur[j] : 0.0, qmin, qmax,
-                clipped);
+            qr[j] = scalar::quantizeOne(xr[j],
+                                        column_scales ? scale[j] : scale[t],
+                                        QuantRound::Stochastic, ur[j], qmin,
+                                        qmax, clipped);
     }
-    alignas(32) int32_t lanes[8];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), neg_clipped);
-    for (int32_t lane : lanes)
-        clipped -= lane;
-    return clipped;
-}
-
-__attribute__((target("avx2"))) inline int64_t
-quantizeF32(const float *x, int64_t ldx, int rows, int w, const double *scale,
-            bool column_scales, QuantRound mode, const double *u,
-            int32_t qmin, int32_t qmax, int32_t *q, int64_t ldq)
-{
-    switch (mode) {
-      case QuantRound::Floor:
-        return quantizeRoundF32<QuantRound::Floor>(
-            x, ldx, rows, w, scale, column_scales, u, qmin, qmax, q, ldq);
-      case QuantRound::HalfAway:
-        return quantizeRoundF32<QuantRound::HalfAway>(
-            x, ldx, rows, w, scale, column_scales, u, qmin, qmax, q, ldq);
-      case QuantRound::Stochastic:
-        return quantizeRoundF32<QuantRound::Stochastic>(
-            x, ldx, rows, w, scale, column_scales, u, qmin, qmax, q, ldq);
-    }
-    return 0;
+    return clipped - sumLanesI32(neg_clipped);
 }
 
 /** The 8 x 8 tile at a (row stride lda) transposed into out (row stride
@@ -1230,18 +1635,6 @@ transposeF32(const float *a, int rows, int cols, float *out)
         for (int c = 0; c < cols; ++c)
             out[static_cast<size_t>(c) * rows + r] =
                 a[static_cast<size_t>(r) * cols + c];
-}
-
-/** Lanes l with lo <= base + l < hi, as an int32 mask. */
-__attribute__((target("avx2"))) inline __m256i
-spanMask(int base, int lo, int hi)
-{
-    const __m256i idx =
-        _mm256_add_epi32(_mm256_set1_epi32(base),
-                         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-    return _mm256_andnot_si256(
-        _mm256_cmpgt_epi32(_mm256_set1_epi32(lo), idx),
-        _mm256_cmpgt_epi32(_mm256_set1_epi32(hi), idx));
 }
 
 /** Columns ix .. ix + 7 of the row s of width w, +0.0f where a column
@@ -1534,10 +1927,10 @@ gemmPanel4U64Lo32(const uint64_t *a, int64_t lda, const uint64_t *b,
 
 inline void
 bfpPanel4(const int16_t *a, int64_t lda, const int32_t *ea, const int32_t *b,
-          const int32_t *eb, int kd, int g, int n, int ebias, float *out,
+          const int32_t *eb, int kd, int g, int n, int bm, float *out,
           int64_t ldo, int rows)
 {
-    scalar::bfpPanel4(a, lda, ea, b, eb, kd, g, n, ebias, out, ldo, rows);
+    scalar::bfpPanel4(a, lda, ea, b, eb, kd, g, n, bm, out, ldo, rows);
 }
 
 inline uint32_t
@@ -1552,13 +1945,31 @@ maxAbsBitsColsF32(const float *x, int64_t ldx, int rows, int w, uint32_t *m)
     scalar::maxAbsBitsColsF32(x, ldx, rows, w, m);
 }
 
-inline int64_t
-quantizeF32(const float *x, int64_t ldx, int rows, int w, const double *scale,
-            bool column_scales, QuantRound mode, const double *u,
-            int32_t qmin, int32_t qmax, int32_t *q, int64_t ldq)
+template <typename Q>
+inline GroupEncodeStats
+encodeRowF32(const float *x, int n, int g, int bm, QuantRound mode, Q *q,
+             int32_t *e)
 {
-    return scalar::quantizeF32(x, ldx, rows, w, scale, column_scales, mode, u,
-                               qmin, qmax, q, ldq);
+    return scalar::encodeRowF32(x, n, g, bm, mode, q, e);
+}
+
+inline GroupEncodeStats
+encodeColsF32(const float *x, int64_t ldx, int k_depth, int g, int w, int bm,
+              QuantRound mode, int32_t *q, int64_t ldq, int32_t *e,
+              int64_t lde)
+{
+    return scalar::encodeColsF32(x, ldx, k_depth, g, w, bm, mode, q, ldq, e,
+                                 lde);
+}
+
+inline int64_t
+quantizeStochasticF32(const float *x, int64_t ldx, int rows, int w,
+                      const double *scale, bool column_scales,
+                      const double *u, int32_t qmin, int32_t qmax, int32_t *q,
+                      int64_t ldq)
+{
+    return scalar::quantizeStochasticF32(x, ldx, rows, w, scale, column_scales,
+                                         u, qmin, qmax, q, ldq);
 }
 
 inline void
@@ -1725,14 +2136,18 @@ gemmPanel4U64Lo32(const uint64_t *a, int64_t lda, const uint64_t *b,
 }
 
 /** Dispatched scalar::bfpPanel4. The vector bodies need every partial
- *  chunk dot to fit int32; past that bound, call scalar::bfpPanel4. */
+ *  chunk dot to fit int32, g 2^(2 bm) <= 2^31 - 1; past that bound the
+ *  reference runs. */
 inline void
 bfpPanel4(const int16_t *a, int64_t lda, const int32_t *ea, const int32_t *b,
-          const int32_t *eb, int kd, int g, int n, int ebias, float *out,
+          const int32_t *eb, int kd, int g, int n, int bm, float *out,
           int64_t ldo, int rows)
 {
-    MIRAGE_SIMD_DISPATCH(bfpPanel4, a, lda, ea, b, eb, kd, g, n, ebias, out,
-                         ldo, rows);
+    if ((int64_t{g} << (2 * bm)) > INT32_MAX)
+        return scalar::bfpPanel4(a, lda, ea, b, eb, kd, g, n, bm, out, ldo,
+                                 rows);
+    MIRAGE_SIMD_DISPATCH(bfpPanel4, a, lda, ea, b, eb, kd, g, n, bm, out, ldo,
+                         rows);
 }
 
 inline uint32_t
@@ -1747,13 +2162,33 @@ maxAbsBitsColsF32(const float *x, int64_t ldx, int rows, int w, uint32_t *m)
     MIRAGE_SIMD_DISPATCH(maxAbsBitsColsF32, x, ldx, rows, w, m);
 }
 
-inline int64_t
-quantizeF32(const float *x, int64_t ldx, int rows, int w, const double *scale,
-            bool column_scales, QuantRound mode, const double *u,
-            int32_t qmin, int32_t qmax, int32_t *q, int64_t ldq)
+/** Dispatched scalar::encodeRowF32 (mode Floor or HalfAway). */
+template <typename Q>
+inline GroupEncodeStats
+encodeRowF32(const float *x, int n, int g, int bm, QuantRound mode, Q *q,
+             int32_t *e)
 {
-    MIRAGE_SIMD_DISPATCH(quantizeF32, x, ldx, rows, w, scale, column_scales,
-                         mode, u, qmin, qmax, q, ldq);
+    MIRAGE_SIMD_DISPATCH(encodeRowF32<Q>, x, n, g, bm, mode, q, e);
+}
+
+/** Dispatched scalar::encodeColsF32 (mode Floor or HalfAway). */
+inline GroupEncodeStats
+encodeColsF32(const float *x, int64_t ldx, int k_depth, int g, int w, int bm,
+              QuantRound mode, int32_t *q, int64_t ldq, int32_t *e,
+              int64_t lde)
+{
+    MIRAGE_SIMD_DISPATCH(encodeColsF32, x, ldx, k_depth, g, w, bm, mode, q,
+                         ldq, e, lde);
+}
+
+inline int64_t
+quantizeStochasticF32(const float *x, int64_t ldx, int rows, int w,
+                      const double *scale, bool column_scales,
+                      const double *u, int32_t qmin, int32_t qmax, int32_t *q,
+                      int64_t ldq)
+{
+    MIRAGE_SIMD_DISPATCH(quantizeStochasticF32, x, ldx, rows, w, scale,
+                         column_scales, u, qmin, qmax, q, ldq);
 }
 
 inline void

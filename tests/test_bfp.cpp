@@ -9,14 +9,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cfloat>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "bfp/bfp.h"
 #include "bfp/bfp_gemm.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "rns/conversion.h"
+#include "runtime/thread_pool.h"
 #include "test_support.h"
 
 namespace mirage {
@@ -247,6 +252,145 @@ TEST(BfpGemmTest, AllMinimumMantissasAtTheInt32Bound)
         EXPECT_EQ(bfpGemm(a, a, 1, g, 1, opts)[0], static_cast<float>(g))
             << "bm=" << bm << " g=" << g;
     }
+}
+
+/**
+ * One value for the fingerprint test from raw engine words (no
+ * floating-point distribution, so the inputs are the same on every
+ * standard library): +-0, a subnormal of bit width at most 6, a tie (an
+ * odd multiple of 2^-(bm + 1) below 2), a value near FLT_MAX, or a finite
+ * value with a biased exponent in [100, 150].
+ */
+float
+fingerprintValue(Rng &rng, int bm)
+{
+    const uint64_t w = rng.nextU64();
+    const uint32_t lo = static_cast<uint32_t>(w);
+    const uint32_t sign = lo & 0x80000000u;
+    switch ((w >> 32) % 5) {
+      case 0: return std::bit_cast<float>(sign);
+      case 1: return std::bit_cast<float>(sign | (lo & 0x3fu));
+      case 2: {
+        const int odd = static_cast<int>((lo >> 8) % (1u << (bm + 1))) | 1;
+        return std::ldexp(sign ? -static_cast<float>(odd)
+                               : static_cast<float>(odd),
+                          -(bm + 1));
+      }
+      case 3: return std::bit_cast<float>(sign | 0x7f000000u | (lo & 0x7fffffu));
+      default:
+        return std::bit_cast<float>(
+            sign | (lo & 0x7fffffu) |
+            static_cast<uint32_t>(100 + (w >> 40) % 51) << 23);
+    }
+}
+
+TEST(BfpGemmTest, EncodingsAndGemmsMatchRecordedFingerprints)
+{
+    // FNV-1a over encodeRowsPacked and encodeColsPacked (mantissas and
+    // exponents), bfpGemm's output and the caller rng's next draw, per
+    // config over four shapes with ragged chunks and column counts off the
+    // 8-lane step. The fingerprints were recorded from the double-route
+    // encoders and epilogue that the one-pass encoders and the float
+    // epilogue replaced, so they pin those paths (and stochastic rounding's
+    // draws) to it bit for bit.
+    struct Case
+    {
+        BfpConfig cfg;
+        uint64_t want;
+    };
+    const Case cases[] = {
+        {{4, 16, Rounding::Truncate}, 0xd1677a12cb6c8120ull},
+        {{4, 16, Rounding::Nearest}, 0x8f857fa5d9037ae2ull},
+        {{4, 16, Rounding::Stochastic}, 0x0ad20ce34d30f7c2ull},
+        {{10, 16, Rounding::Nearest}, 0x5838c15795a00822ull},
+        {{10, 17, Rounding::Truncate}, 0xb411ca8718cf410eull},
+        {{13, 31, Rounding::Nearest}, 0x84f0eb3c86bd76caull},
+        {{15, 2, Rounding::Truncate}, 0x901117b70930244dull},
+        {{1, 7, Rounding::Nearest}, 0x6627687470d0ea4eull},
+        {{12, 2, Rounding::Stochastic}, 0xa49f872d8f4b385eull},
+    };
+    struct Shape
+    {
+        int m, k, n;
+    };
+    const Shape shapes[] = {{5, 37, 11}, {4, 16, 9}, {9, 8, 64}, {13, 100, 3}};
+    for (const Case &cs : cases) {
+        uint64_t h = 1469598103934665603ull;
+        const auto mix = [&h](const void *p, size_t bytes) {
+            const unsigned char *c = static_cast<const unsigned char *>(p);
+            for (size_t i = 0; i < bytes; ++i) {
+                h ^= c[i];
+                h *= 1099511628211ull;
+            }
+        };
+        Rng values(17);
+        for (const Shape &s : shapes) {
+            std::vector<float> a(static_cast<size_t>(s.m) * s.k);
+            std::vector<float> b(static_cast<size_t>(s.k) * s.n);
+            for (auto &v : a)
+                v = fingerprintValue(values, cs.cfg.bm);
+            for (auto &v : b)
+                v = fingerprintValue(values, cs.cfg.bm);
+            Rng rng(23);
+            Workspace ws;
+            {
+                Workspace::Scope scope(ws);
+                const BfpPackedMatrix ae =
+                    encodeRowsPacked(a, s.m, s.k, cs.cfg, ws, &rng);
+                const BfpColumnPanels be =
+                    encodeColsPacked(b, s.k, s.n, cs.cfg, ws, &rng);
+                mix(ae.mantissas.data(), ae.mantissas.size_bytes());
+                mix(ae.exponents.data(), ae.exponents.size_bytes());
+                mix(be.mantissas.data(), be.mantissas.size_bytes());
+                mix(be.exponents.data(), be.exponents.size_bytes());
+            }
+            std::vector<float> c(static_cast<size_t>(s.m) * s.n);
+            bfpGemm(a, b, c, s.m, s.k, s.n, cs.cfg, nullptr, &rng);
+            // Inf - Inf sums are NaN, whose payload the platform picks.
+            for (float &v : c)
+                if (std::isnan(v))
+                    v = std::numeric_limits<float>::quiet_NaN();
+            mix(c.data(), c.size() * sizeof(float));
+            const uint64_t next = rng.nextU64();
+            mix(&next, sizeof next);
+        }
+        EXPECT_EQ(h, cs.want) << "bm=" << cs.cfg.bm << " g=" << cs.cfg.g
+                              << " " << toString(cs.cfg.rounding);
+    }
+}
+
+TEST(BfpGemmTest, ForksOnlyAtTheComputeCutoff)
+{
+    // A lone GEMM forks its panel loop onto the pool at kMinComputeWork
+    // MACs or more; below that it runs inline. The operands here stay
+    // below kMinEncodeWork elements, so encoding never forks.
+    if (!obs::enabled())
+        GTEST_SKIP() << "needs the runtime.pool.loops counter (MIRAGE_OBS)";
+    struct PoolGuard
+    {
+        PoolGuard() { runtime::ThreadPool::setGlobalThreads(4); }
+        ~PoolGuard() { runtime::ThreadPool::setGlobalThreads(0); }
+    } pool;
+    obs::Counter &loops =
+        obs::MetricsRegistry::global().counter("runtime.pool.loops");
+    const BfpConfig cfg{4, 16, Rounding::Truncate};
+    Rng rng(7);
+    const auto dispatches = [&](int m, int k, int n) {
+        EXPECT_LT(int64_t{k} * std::max(m, n), kMinEncodeWork);
+        const auto a = mirage::test::gaussianVector(rng, m * k);
+        const auto b = mirage::test::gaussianVector(rng, k * n);
+        std::vector<float> c(static_cast<size_t>(m) * n);
+        const uint64_t before = loops.value();
+        bfpGemm(a, b, c, m, k, n, cfg, nullptr);
+        return loops.value() - before;
+    };
+    const int n_cut = static_cast<int>(kMinComputeWork / (64 * 64));
+    EXPECT_EQ(dispatches(64, 64, n_cut), 1u);
+    EXPECT_EQ(dispatches(63, 64, n_cut), 0u);
+    EXPECT_EQ(dispatches(192, 64, 96), 1u);
+    // The small training CNN's largest GEMM (conv2 forward at
+    // micro-batch 4) runs inline.
+    EXPECT_EQ(dispatches(16, 72, 256), 0u);
 }
 
 TEST_F(BfpSeeded, QuantizationErrorShrinksWithMantissaBits)

@@ -424,12 +424,12 @@ TEST(FidelityHealth, BfpAndPhotonicCountersAccumulate)
 }
 
 /**
- * Shared exponent and clip count of one Nearest-rounded group, worked out
- * per element with frexp/ldexp: the values a per-group noteBfpGroup call
- * records for it.
+ * Shared exponent and clip count of one Nearest- or Truncate-rounded
+ * group, worked out per element with frexp/ldexp: the values a per-group
+ * noteBfpGroup call records for it.
  */
 std::pair<int, int>
-nearestGroupNote(const std::vector<float> &group, int bm)
+groupNote(const std::vector<float> &group, int bm, bfp::Rounding rounding)
 {
     int shared = 0;
     bool nonzero = false;
@@ -446,7 +446,9 @@ nearestGroupNote(const std::vector<float> &group, int bm)
     int clipped = 0;
     for (float v : group) {
         const double s = std::ldexp(static_cast<double>(v), bm - shared);
-        const double q = s >= 0.0 ? std::floor(s + 0.5) : std::ceil(s - 0.5);
+        const double q = rounding == bfp::Rounding::Truncate ? std::floor(s)
+                         : s >= 0.0 ? std::floor(s + 0.5)
+                                    : std::ceil(s - 0.5);
         clipped += (q > (1 << bm) - 1 || q < -(1 << bm)) ? 1 : 0;
     }
     return {shared, clipped};
@@ -479,58 +481,81 @@ bfpTelemetry()
 TEST(FidelityHealth, BfpGemmTalliesEqualPerGroupNotes)
 {
     // A GEMM's batched fidelity.bfp.* flushes against one noteBfpGroup per
-    // group of A's rows and B's columns, over all-zero, subnormal, clipping
-    // (0.999 rounds to 16 at bm = 4) and ordinary groups with a ragged tail.
-    FidelityGuard guard;
+    // group of A's rows and B's columns, and so do the packed encoders',
+    // under both deterministic roundings. Groups mix shared exponents:
+    // all-zero, subnormal (exponent below -128, clamped into the lowest
+    // bucket), clipping (0.999 rounds to 16 at bm = 4 under Nearest),
+    // near FLT_MAX (exponent 128) and ordinary, with a ragged last chunk
+    // and a column count off the encoders' 8-lane step.
     const int m = 6, k = 40, n = 11;
-    const bfp::BfpConfig cfg{4, 16, bfp::Rounding::Nearest};
-    Rng rng(31);
-    const auto value = [&](int kind) -> float {
-        switch (kind % 4) {
-          case 0: return 0.0f;
-          case 1: return static_cast<float>(rng.gaussian(0.0, 1e-40));
-          case 2: return rng.uniformReal() < 0.3 ? 0.999f : -0.4f;
-          default: return static_cast<float>(rng.gaussian());
-        }
-    };
-    std::vector<float> a(static_cast<size_t>(m) * k);
-    std::vector<float> b(static_cast<size_t>(k) * n);
-    for (int r = 0; r < m; ++r)
+    for (const bfp::Rounding rounding :
+         {bfp::Rounding::Nearest, bfp::Rounding::Truncate}) {
+        FidelityGuard guard;
+        const bfp::BfpConfig cfg{4, 16, rounding};
+        Rng rng(31);
+        const auto value = [&](int kind) -> float {
+            switch (kind % 6) {
+              case 0: return 0.0f;
+              case 1: return static_cast<float>(rng.gaussian(0.0, 1e-40));
+              case 2: return rng.uniformReal() < 0.3 ? 0.999f : -0.4f;
+              case 3: return static_cast<float>(rng.gaussian(0.0, 1e-44));
+              case 4: return static_cast<float>(rng.gaussian(0.0, 1e38));
+              default: return static_cast<float>(rng.gaussian());
+            }
+        };
+        std::vector<float> a(static_cast<size_t>(m) * k);
+        std::vector<float> b(static_cast<size_t>(k) * n);
+        for (int r = 0; r < m; ++r)
+            for (int kk = 0; kk < k; ++kk)
+                a[static_cast<size_t>(r) * k + kk] = value(r + kk / 16);
         for (int kk = 0; kk < k; ++kk)
-            a[static_cast<size_t>(r) * k + kk] = value(r + kk / 16);
-    for (int kk = 0; kk < k; ++kk)
+            for (int j = 0; j < n; ++j)
+                b[static_cast<size_t>(kk) * n + j] = value(j + kk / 16);
+
+        std::vector<float> c(static_cast<size_t>(m) * n);
+        bfp::bfpGemm(a, b, c, m, k, n, cfg, nullptr);
+        const BfpTelemetry batched = bfpTelemetry();
+        fid::resetForTest();
+        {
+            Workspace ws;
+            Workspace::Scope scope(ws);
+            bfp::encodeRowsPacked(a, m, k, cfg, ws);
+            bfp::encodeColsPacked(b, k, n, cfg, ws);
+        }
+        const BfpTelemetry packed = bfpTelemetry();
+
+        fid::resetForTest();
+        for (int r = 0; r < m; ++r)
+            for (int start = 0; start < k; start += 16) {
+                const std::vector<float> group(
+                    a.begin() + r * k + start,
+                    a.begin() + r * k + std::min(k, start + 16));
+                const auto [e, clipped] = groupNote(group, cfg.bm, rounding);
+                fid::noteBfpGroup(e, clipped);
+            }
         for (int j = 0; j < n; ++j)
-            b[static_cast<size_t>(kk) * n + j] = value(j + kk / 16);
+            for (int start = 0; start < k; start += 16) {
+                std::vector<float> group;
+                for (int kk = start; kk < std::min(k, start + 16); ++kk)
+                    group.push_back(b[static_cast<size_t>(kk) * n + j]);
+                const auto [e, clipped] = groupNote(group, cfg.bm, rounding);
+                fid::noteBfpGroup(e, clipped);
+            }
+        const BfpTelemetry per_group = bfpTelemetry();
 
-    std::vector<float> c(static_cast<size_t>(m) * n);
-    bfp::bfpGemm(a, b, c, m, k, n, cfg, nullptr);
-    const BfpTelemetry batched = bfpTelemetry();
-
-    fid::resetForTest();
-    for (int r = 0; r < m; ++r)
-        for (int start = 0; start < k; start += 16) {
-            const std::vector<float> group(
-                a.begin() + r * k + start,
-                a.begin() + r * k + std::min(k, start + 16));
-            const auto [e, clipped] = nearestGroupNote(group, cfg.bm);
-            fid::noteBfpGroup(e, clipped);
+        const std::string where = bfp::toString(rounding);
+        EXPECT_EQ(batched.groups, static_cast<uint64_t>((m + n) * 3)) << where;
+        if (rounding == bfp::Rounding::Nearest) {
+            EXPECT_GT(batched.clipped, 0u) << where;
         }
-    for (int j = 0; j < n; ++j)
-        for (int start = 0; start < k; start += 16) {
-            std::vector<float> group;
-            for (int kk = start; kk < std::min(k, start + 16); ++kk)
-                group.push_back(b[static_cast<size_t>(kk) * n + j]);
-            const auto [e, clipped] = nearestGroupNote(group, cfg.bm);
-            fid::noteBfpGroup(e, clipped);
+        for (const BfpTelemetry *t : {&batched, &packed}) {
+            EXPECT_EQ(t->groups, per_group.groups) << where;
+            EXPECT_EQ(t->clipped, per_group.clipped) << where;
+            EXPECT_EQ(t->exponent_buckets, per_group.exponent_buckets)
+                << where;
+            EXPECT_EQ(t->exponent_sum, per_group.exponent_sum) << where;
         }
-    const BfpTelemetry per_group = bfpTelemetry();
-
-    EXPECT_EQ(batched.groups, static_cast<uint64_t>((m + n) * 3));
-    EXPECT_GT(batched.clipped, 0u);
-    EXPECT_EQ(batched.groups, per_group.groups);
-    EXPECT_EQ(batched.clipped, per_group.clipped);
-    EXPECT_EQ(batched.exponent_buckets, per_group.exponent_buckets);
-    EXPECT_EQ(batched.exponent_sum, per_group.exponent_sum);
+    }
 }
 
 // ---------------------------------------------------------------------------

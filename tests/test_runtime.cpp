@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "bfp/bfp_gemm.h"
 #include "core/mirage.h"
 #include "fault/injection.h"
 #include "models/zoo.h"
@@ -596,14 +597,17 @@ TEST_F(RuntimeEngineTest, ConcurrentTileLegsRunTheirGemmsInline)
     GlobalThreadsGuard guard(4);
     obs::Counter &loops =
         obs::MetricsRegistry::global().counter("runtime.pool.loops");
-    // On its own, each of these GEMMs forks a row loop onto the pool.
+    // On its own, each of these GEMMs forks a row loop onto the pool: it
+    // does exactly bfpGemm's fork cutoff of MACs.
+    const int m = 64, k = 64;
+    const int n = static_cast<int>(bfp::kMinComputeWork / (m * k));
+    ASSERT_EQ(int64_t{m} * k * n, bfp::kMinComputeWork);
     std::vector<runtime::GemmRequest> reqs;
     for (int j = 0; j < 4; ++j)
-        reqs.push_back(makeRequest(rng, 64, 64, 64));
+        reqs.push_back(makeRequest(rng, m, k, n));
     uint64_t before = loops.value();
     core::MirageAccelerator accel;
-    const std::vector<float> direct =
-        accel.gemm(reqs[0].a, reqs[0].b, 64, 64, 64);
+    const std::vector<float> direct = accel.gemm(reqs[0].a, reqs[0].b, m, k, n);
     ASSERT_GT(loops.value(), before);
 
     runtime::EngineConfig cfg;

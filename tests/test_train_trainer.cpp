@@ -21,6 +21,8 @@
 #include "fault/injection.h"
 #include "models/trainable.h"
 #include "nn/data.h"
+#include "obs/metrics.h"
+#include "runtime/thread_pool.h"
 #include "serve/checkpoint.h"
 #include "serve/repository.h"
 #include "train/grad_utils.h"
@@ -616,6 +618,42 @@ TEST_F(TrainerTest, LosingEveryReplicaIsTerminal)
     EXPECT_THROW(trainer.run(train_data, nullptr, 1000, 4),
                  std::runtime_error);
     fault::reset();
+}
+
+TEST_F(TrainerTest, SmallCnnReplicaLegsMakeNoNestedDispatch)
+{
+    // The perfbench train_cnn shape: the small CNN on [4, 1, 16, 16]
+    // micro-batches, two replicas, four shards per accumulation round, on
+    // a two-worker pool. Every GEMM of a leg sits below bfpGemm's fork
+    // cutoffs, so the loop over the replica legs is the only threaded
+    // dispatch of a round.
+    if (!obs::enabled())
+        GTEST_SKIP() << "needs the runtime.pool.loops counter (MIRAGE_OBS)";
+    struct PoolGuard
+    {
+        PoolGuard() { runtime::ThreadPool::setGlobalThreads(2); }
+        ~PoolGuard() { runtime::ThreadPool::setGlobalThreads(0); }
+    } pool;
+    obs::Counter &loops =
+        obs::MetricsRegistry::global().counter("runtime.pool.loops");
+    const nn::Dataset data = nn::makePatternImages(64, 4, 16, 0.3f, 5);
+    train::TrainerConfig cfg;
+    cfg.replicas = 2;
+    cfg.micro_batch = 4;
+    cfg.shards_per_step = 4;
+    cfg.accum_rounds = 2;
+    cfg.seed = 3;
+    train::Trainer trainer(
+        [](nn::GemmBackend *backend, Rng &rng) {
+            return models::makeSmallCnn(4, backend, rng);
+        },
+        std::make_unique<nn::Sgd>(0.05f, 0.9f), cfg);
+    trainer.run(data, nullptr, 1000, 1); // warm-up step
+    const uint64_t before = loops.value();
+    const train::TrainReport report = trainer.run(data, nullptr, 1000, 2);
+    ASSERT_EQ(report.steps_run, 2);
+    EXPECT_EQ(loops.value() - before,
+              static_cast<uint64_t>(2 * cfg.accum_rounds));
 }
 
 TEST_F(TrainerTest, PublishNowWithoutRepositoryThrows)
