@@ -28,6 +28,18 @@ constexpr int64_t kComputeGrain = 4;
 /// Output rows of one fused panel (simd::bfpPanel4).
 constexpr int kPanelRows = 4;
 
+/// Serial-below cutoffs of bfpGemmRnsReference's own loops, counted in
+/// chunk dots and in residues. Per MAC it costs 100x or more what bfpGemm
+/// does, so under kMinComputeWork a replay could stay serial for 5 ms or
+/// more. On the 4-vCPU Xeon kMinComputeWork was derived on, over the
+/// paper's three-modulus set (special(5)) at g = 16, one chunk dot (a
+/// modular dot per modulus and a CRT decode) takes about 150-280 ns, and
+/// one mantissa's residue about 4.3 ns (an integer division). 256 chunk
+/// dots and 2^13 residues are each about 35-70 us of serial work, as in
+/// kMinComputeWork's derivation.
+constexpr int64_t kMinReferenceDots = 256;
+constexpr int64_t kMinResidueWork = int64_t{1} << 13;
+
 /// Stochastic-rounding substream base of one operand, drawn from the
 /// caller's rng only when its draws are used.
 std::optional<uint64_t>
@@ -158,7 +170,7 @@ residuePlanes(std::span<const int32_t> mantissas, int rows, size_t row_elems,
         rows,
         runtime::serialBelow(rows, kEncodeGrain,
                              static_cast<int64_t>(set.count() * plane),
-                             kMinEncodeWork),
+                             kMinResidueWork),
         [&](int64_t r0, int64_t r1) {
             for (size_t mi = 0; mi < set.count(); ++mi) {
                 const uint64_t mod = set.modulus(mi);
@@ -292,8 +304,8 @@ bfpGemmRnsReference(std::span<const float> a, std::span<const float> b,
     runtime::parallelFor(
         m_rows,
         runtime::serialBelow(m_rows, kComputeGrain,
-                             static_cast<int64_t>(m_rows) * k_depth * n_cols,
-                             kMinComputeWork),
+                             static_cast<int64_t>(m_rows) * chunks * n_cols,
+                             kMinReferenceDots),
         [&](int64_t i0, int64_t i1) {
             Workspace &tws = threadWorkspace();
             Workspace::Scope tscope(tws);

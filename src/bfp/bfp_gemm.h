@@ -44,7 +44,8 @@ namespace bfp {
  * worker can win. Every GEMM of the small training CNN (at most 16 x 72 x
  * 256, 295k MACs, and 18k-element operands) then runs inline, so its
  * replica legs make no nested dispatch; a 192 x 64 x 96 GEMM (1.2M MACs)
- * still forks.
+ * still forks. bfpGemmRnsReference's residue and chunk-dot loops cost 100x
+ * or more per operation and fork at their own, lower cutoffs.
  */
 inline constexpr int64_t kMinEncodeWork = int64_t{1} << 16;
 inline constexpr int64_t kMinComputeWork = int64_t{1} << 19;

@@ -393,6 +393,38 @@ TEST(BfpGemmTest, ForksOnlyAtTheComputeCutoff)
     EXPECT_EQ(dispatches(16, 72, 256), 0u);
 }
 
+TEST(BfpGemmTest, RnsReplayForksBelowTheComputeCutoff)
+{
+    // The RNS reference costs far more per MAC than bfpGemm, so its own
+    // loops fork at far smaller sizes: the sampled replay of conv2
+    // forward forks B's residue planes (61,440 residues) and its row loop
+    // (20,480 chunk dots); its operands stay below the encode cutoff.
+    if (!obs::enabled())
+        GTEST_SKIP() << "needs the runtime.pool.loops counter (MIRAGE_OBS)";
+    struct PoolGuard
+    {
+        PoolGuard() { runtime::ThreadPool::setGlobalThreads(4); }
+        ~PoolGuard() { runtime::ThreadPool::setGlobalThreads(0); }
+    } pool;
+    obs::Counter &loops =
+        obs::MetricsRegistry::global().counter("runtime.pool.loops");
+    const BfpConfig cfg{4, 16, Rounding::Nearest};
+    const rns::RnsCodec &codec =
+        rns::cachedCodec(mirage::test::paperModuli());
+    Rng rng(11);
+    const auto dispatches = [&](int m, int k, int n) {
+        const auto a = mirage::test::gaussianVector(rng, m * k);
+        const auto b = mirage::test::gaussianVector(rng, k * n);
+        std::vector<float> c(static_cast<size_t>(m) * n);
+        const uint64_t before = loops.value();
+        bfpGemmRnsReference(a, b, c, m, k, n, cfg, codec);
+        return loops.value() - before;
+    };
+    ASSERT_LT(int64_t{16} * 72 * 256, kMinComputeWork);
+    EXPECT_EQ(dispatches(16, 72, 256), 2u);
+    EXPECT_EQ(dispatches(4, 16, 4), 0u);
+}
+
 TEST_F(BfpSeeded, QuantizationErrorShrinksWithMantissaBits)
 {
     const int m = 8, k = 64, n = 8;

@@ -19,6 +19,7 @@
 #include "nn/gemm_backend.h"
 #include "nn/model.h"
 #include "nn/optimizer.h"
+#include "obs/metrics.h"
 #include "photonic/mmvmu.h"
 #include "rns/modular_gemm.h"
 #include "runtime/thread_pool.h"
@@ -41,23 +42,38 @@ atThreadCounts(F fn) -> std::pair<decltype(fn()), decltype(fn())>
     return {std::move(serial), std::move(parallel)};
 }
 
+/** Threaded pool dispatches so far (`runtime.pool.loops`). A 1-thread run
+ *  never dispatches, so the count across atThreadCounts is the 8-thread
+ *  run's. */
+uint64_t
+poolLoops()
+{
+    return obs::MetricsRegistry::global().counter("runtime.pool.loops").value();
+}
+
 class RuntimeDeterminism : public mirage::test::SeededTest
 {
 };
 
 TEST_F(RuntimeDeterminism, BfpRnsGemmIsThreadCountInvariant)
 {
-    // Large enough that the compute loop is above the serialBelow cutoff:
-    // the 8-thread run genuinely executes in parallel.
-    const int m = 48, k = 48, n = 32;
+    // Exactly bfpGemm's compute cutoff of MACs, so the 8-thread run forks
+    // its panel loop (B's 8k elements stay below the encode cutoff).
+    const int m = 64, k = 64;
+    const int n = static_cast<int>(bfp::kMinComputeWork / (m * k));
+    ASSERT_EQ(int64_t{m} * k * n, bfp::kMinComputeWork);
     const auto a = mirage::test::gaussianVector(rng, static_cast<size_t>(m) * k);
     const auto b = mirage::test::gaussianVector(rng, static_cast<size_t>(k) * n);
 
+    const uint64_t before = poolLoops();
     auto [serial, parallel] = atThreadCounts([&] {
         bfp::BfpGemmOptions opts;
         opts.moduli = mirage::test::paperModuli();
         return bfp::bfpGemm(a, b, m, k, n, opts);
     });
+    if (obs::enabled()) {
+        EXPECT_EQ(poolLoops() - before, 1u) << "the panel loop must fork";
+    }
     ASSERT_EQ(serial.size(), parallel.size());
     for (size_t i = 0; i < serial.size(); ++i)
         EXPECT_EQ(serial[i], parallel[i]) << "element " << i;
@@ -65,13 +81,19 @@ TEST_F(RuntimeDeterminism, BfpRnsGemmIsThreadCountInvariant)
 
 TEST_F(RuntimeDeterminism, StochasticRoundingGemmIsThreadCountInvariant)
 {
-    // Stochastic rounding draws randomness, yet per-row Rng::split streams
-    // make the result a function of the seed only, not the thread count.
-    // m*k exceeds the encode cutoff, so parallel encoding really runs.
-    const int m = 192, k = 96, n = 8;
+    // Stochastic rounding draws randomness, yet per-row and per-column
+    // Rng::stream substreams make the result a function of the seed only,
+    // not the thread count. B holds exactly the encode cutoff of elements
+    // and the GEMM exceeds the compute cutoff, so the 8-thread run forks
+    // both B's column encode and the panel loop that encodes A's rows.
+    const int m = 16, k = 128;
+    const int n = static_cast<int>(bfp::kMinEncodeWork / k);
+    ASSERT_EQ(int64_t{k} * n, bfp::kMinEncodeWork);
+    ASSERT_GE(int64_t{m} * k * n, bfp::kMinComputeWork);
     const auto a = mirage::test::gaussianVector(rng, static_cast<size_t>(m) * k);
     const auto b = mirage::test::gaussianVector(rng, static_cast<size_t>(k) * n);
 
+    const uint64_t before = poolLoops();
     auto [serial, parallel] = atThreadCounts([&] {
         Rng gemm_rng(20240607);
         bfp::BfpGemmOptions opts;
@@ -79,6 +101,10 @@ TEST_F(RuntimeDeterminism, StochasticRoundingGemmIsThreadCountInvariant)
         opts.rng = &gemm_rng;
         return bfp::bfpGemm(a, b, m, k, n, opts);
     });
+    if (obs::enabled()) {
+        EXPECT_EQ(poolLoops() - before, 2u)
+            << "B's column encode and the panel loop must each fork";
+    }
     ASSERT_EQ(serial.size(), parallel.size());
     for (size_t i = 0; i < serial.size(); ++i)
         EXPECT_EQ(serial[i], parallel[i]) << "element " << i;

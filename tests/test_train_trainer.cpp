@@ -21,6 +21,7 @@
 #include "fault/injection.h"
 #include "models/trainable.h"
 #include "nn/data.h"
+#include "obs/fidelity.h"
 #include "obs/metrics.h"
 #include "runtime/thread_pool.h"
 #include "serve/checkpoint.h"
@@ -634,6 +635,14 @@ TEST_F(TrainerTest, SmallCnnReplicaLegsMakeNoNestedDispatch)
         PoolGuard() { runtime::ThreadPool::setGlobalThreads(2); }
         ~PoolGuard() { runtime::ThreadPool::setGlobalThreads(0); }
     } pool;
+    // Probes off whatever MIRAGE_FIDELITY says: a probed GEMM's RNS
+    // replay forks at far smaller sizes (bfpGemmRnsReference).
+    struct ProbeGuard
+    {
+        const uint64_t saved = obs::fidelity::probeInterval();
+        ProbeGuard() { obs::fidelity::setProbeInterval(0); }
+        ~ProbeGuard() { obs::fidelity::setProbeInterval(saved); }
+    } probes;
     obs::Counter &loops =
         obs::MetricsRegistry::global().counter("runtime.pool.loops");
     const nn::Dataset data = nn::makePatternImages(64, 4, 16, 0.3f, 5);
